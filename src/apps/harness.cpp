@@ -25,8 +25,8 @@ AppConfig resolve_capture(AppConfig cfg) {
 Harness::Harness(AppConfig cfg, vfs::PfsConfig pfs_cfg,
                  std::vector<sim::ClockModel> clocks)
     : Harness(cfg, std::make_unique<vfs::Pfs>(pfs_cfg), std::move(clocks)) {
-  concrete_pfs_ = static_cast<vfs::Pfs*>(fs_.get());
-  if (cfg_.obs != nullptr) concrete_pfs_->set_observer(cfg_.obs);
+  backend_ = static_cast<vfs::Pfs*>(fs_.get());
+  if (cfg_.obs != nullptr) backend_->set_observer(cfg_.obs);
 }
 
 Harness::Harness(AppConfig cfg, vfs::ClusterConfig cluster_cfg,
@@ -34,7 +34,8 @@ Harness::Harness(AppConfig cfg, vfs::ClusterConfig cluster_cfg,
     : Harness(cfg, std::make_unique<vfs::PfsCluster>(cluster_cfg),
               std::move(clocks)) {
   concrete_cluster_ = static_cast<vfs::PfsCluster*>(fs_.get());
-  if (cfg_.obs != nullptr) concrete_cluster_->set_observer(cfg_.obs);
+  backend_ = concrete_cluster_;
+  if (cfg_.obs != nullptr) backend_->set_observer(cfg_.obs);
 }
 
 Harness::Harness(AppConfig cfg, std::unique_ptr<vfs::FileSystem> fs,
@@ -73,9 +74,9 @@ Harness::Harness(AppConfig cfg, std::unique_ptr<vfs::FileSystem> fs,
 }
 
 vfs::Pfs& Harness::pfs() {
-  require(concrete_pfs_ != nullptr,
-          "pfs(): a custom file-system backend is in use");
-  return *concrete_pfs_;
+  auto* const pfs = dynamic_cast<vfs::Pfs*>(backend_);
+  require(pfs != nullptr, "pfs(): a custom file-system backend is in use");
+  return *pfs;
 }
 
 vfs::PfsCluster& Harness::cluster() {
@@ -178,27 +179,18 @@ void Harness::run(const std::function<sim::Task<void>(Rank)>& program) {
         /*label=*/r);
   }
   engine_.run();
-  if (cfg_.obs != nullptr &&
-      (concrete_pfs_ != nullptr || concrete_cluster_ != nullptr)) {
+  if (cfg_.obs != nullptr && backend_ != nullptr) {
     // Publish the backend's introspection counters as gauges. Stable:
     // lock/OST traffic is a pure function of the simulated op sequence.
     auto& m = cfg_.obs->metrics;
-    const vfs::LockStats& ls = concrete_pfs_ != nullptr
-                                   ? concrete_pfs_->lock_stats()
-                                   : concrete_cluster_->lock_stats();
-    const vfs::OstStats& os = concrete_pfs_ != nullptr
-                                  ? concrete_pfs_->ost_stats()
-                                  : concrete_cluster_->ost_stats();
+    const vfs::LockStats& ls = backend_->lock_stats();
+    const vfs::OstStats& os = backend_->ost_stats();
     m.set(cfg_.obs->vfs_lock_requests, static_cast<std::int64_t>(ls.requests));
     m.set(cfg_.obs->vfs_lock_revocations,
           static_cast<std::int64_t>(ls.revocations));
     m.set(cfg_.obs->vfs_meta_ops, static_cast<std::int64_t>(ls.meta_ops));
-    std::uint64_t ost_bytes = 0;
-    for (const std::uint64_t b : os.bytes) ost_bytes += b;
-    m.set(cfg_.obs->vfs_ost_bytes, static_cast<std::int64_t>(ost_bytes));
-    const vfs::CompactionStats& cs = concrete_pfs_ != nullptr
-                                         ? concrete_pfs_->compaction_stats()
-                                         : concrete_cluster_->compaction_stats();
+    m.set(cfg_.obs->vfs_ost_bytes, static_cast<std::int64_t>(os.total_bytes));
+    const vfs::CompactionStats& cs = backend_->compaction_stats();
     m.set(cfg_.obs->vfs_compacted_writes,
           static_cast<std::int64_t>(cs.folded_writes));
     m.set(cfg_.obs->vfs_compaction_passes,

@@ -155,7 +155,7 @@ class Harness {
   trace::Collector collector_;
   sim::Engine engine_;
   std::unique_ptr<vfs::FileSystem> fs_;
-  vfs::Pfs* concrete_pfs_ = nullptr;  // set when the default backend is used
+  vfs::PfsBase* backend_ = nullptr;  // Pfs or PfsCluster; null if custom
   vfs::PfsCluster* concrete_cluster_ = nullptr;  // set for ClusterConfig runs
   mpi::World world_;
   std::vector<Rng> rank_rngs_;

@@ -1,35 +1,32 @@
 #include "pfsem/vfs/cluster.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "pfsem/fault/injector.hpp"
-#include "pfsem/obs/obs.hpp"
-#include "pfsem/trace/record.hpp"
 #include "pfsem/util/error.hpp"
 
 namespace pfsem::vfs {
 
-using detail::WriteRecord;
+namespace {
 
-struct PfsCluster::OpenFile {
-  std::shared_ptr<File> file;
-  int flags = 0;
-  Offset offset = 0;
-  SimTime t_open = 0;
-};
-
-PfsCluster::PfsCluster(ClusterConfig cfg) : cfg_(cfg) {
-  require(cfg_.mds_count >= 1, "PfsCluster: mds_count must be >= 1");
-  require(cfg_.ost_count >= 1, "PfsCluster: ost_count must be >= 1");
-  require(cfg_.stripe > 0 && (cfg_.stripe & (cfg_.stripe - 1)) == 0,
+/// Validated OST count of a cluster topology.
+std::size_t checked_osts(const ClusterConfig& cfg) {
+  require(cfg.mds_count >= 1, "PfsCluster: mds_count must be >= 1");
+  require(cfg.ost_count >= 1, "PfsCluster: ost_count must be >= 1");
+  require(cfg.stripe > 0 && (cfg.stripe & (cfg.stripe - 1)) == 0,
           "PfsCluster: stripe must be a positive power of two");
-  require(cfg_.mds_replicas >= 1, "PfsCluster: mds_replicas must be >= 1");
-  dirs_.insert(names_.intern("/"));
-  mds_.assign(static_cast<std::size_t>(cfg_.mds_count), MdsState{});
-  for (auto& s : mds_) s.standbys = cfg_.mds_replicas - 1;
-  ost_.assign(static_cast<std::size_t>(cfg_.ost_count), OstState{});
-  osts_.requests.assign(static_cast<std::size_t>(cfg_.ost_count), 0);
-  osts_.bytes.assign(static_cast<std::size_t>(cfg_.ost_count), 0);
+  require(cfg.mds_replicas >= 1, "PfsCluster: mds_replicas must be >= 1");
+  return static_cast<std::size_t>(cfg.ost_count);
+}
+
+}  // namespace
+
+PfsCluster::PfsCluster(ClusterConfig cfg)
+    : PfsBase(cfg.base, checked_osts(cfg)), cluster_cfg_(cfg) {
+  mds_.assign(static_cast<std::size_t>(cfg.mds_count), MdsState{});
+  for (auto& s : mds_) s.standbys = cfg.mds_replicas - 1;
+  ost_.assign(static_cast<std::size_t>(cfg.ost_count), OstState{});
 }
 PfsCluster::~PfsCluster() = default;
 
@@ -41,22 +38,15 @@ int PfsCluster::shard_of(std::string_view path) const {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;
   }
-  return static_cast<int>(h % static_cast<std::uint64_t>(cfg_.mds_count));
+  return static_cast<int>(h %
+                          static_cast<std::uint64_t>(cluster_cfg_.mds_count));
 }
 
-std::shared_ptr<PfsCluster::File> PfsCluster::lookup(
-    const std::string& path) const {
-  const FileId id = names_.find(path);
-  return id == kNoFile || id >= files_.size() ? nullptr : files_[id];
-}
+// ----------------------------------------------------------------------
+// routing
 
-std::shared_ptr<PfsCluster::File>& PfsCluster::slot(const std::string& path) {
-  const FileId id = names_.intern(path);
-  if (id >= files_.size()) files_.resize(id + 1);
-  return files_[id];
-}
-
-int PfsCluster::mds_route(int shard, SimTime now, bool can_fail) {
+int PfsCluster::route(std::string_view path, SimTime now, bool can_fail) {
+  const int shard = shard_of(path);
   MdsState& s = mds_[static_cast<std::size_t>(shard)];
   if (!s.up) {
     if (s.standbys <= 0) return fault::kEhostdown;  // no replica remains
@@ -73,16 +63,23 @@ int PfsCluster::mds_route(int shard, SimTime now, bool can_fail) {
   return 0;
 }
 
-SimDuration PfsCluster::charge_locks(File& f, Rank r, Extent ext,
-                                     bool exclusive) {
-  return detail::charge_locks(
-      f, r, ext, exclusive,
-      {cfg_.base.model, cfg_.base.lock_latency, cfg_.base.lock_block}, locks_);
+int PfsCluster::route_rename(std::string_view from, std::string_view to,
+                             SimTime now) {
+  // A rename spans two shards (source and destination directory entries);
+  // both must be reachable. One aggregate meta op either way, so the
+  // fault-free cost and counters match the single-server backend.
+  if (const int e = route(from, now, /*can_fail=*/true)) return e;
+  if (shard_of(to) == shard_of(from)) return 0;
+  return route(to, now, /*can_fail=*/true);
 }
+
+// ----------------------------------------------------------------------
+// pricing & degraded reads
 
 SimDuration PfsCluster::charge_transfer(Extent ext, SimTime now) {
   if (ext.empty()) return 0;
-  const auto n = static_cast<std::size_t>(cfg_.ost_count);
+  const auto n = static_cast<std::size_t>(cluster_cfg_.ost_count);
+  const Offset stripe = cluster_cfg_.stripe;
   // Distribute the extent over the round-robin stripe layout for per-OST
   // accounting and fault routing. The transfer *time* is client-link
   // bound (bytes_per_ns is the aggregate bandwidth), so topology never
@@ -90,8 +87,8 @@ SimDuration PfsCluster::charge_transfer(Extent ext, SimTime now) {
   std::vector<Offset> per_ost(n, 0);
   Offset pos = ext.begin;
   while (pos < ext.end) {
-    const Offset block = pos / cfg_.stripe;
-    const Offset block_end = (block + 1) * cfg_.stripe;
+    const Offset block = pos / stripe;
+    const Offset block_end = (block + 1) * stripe;
     const Offset chunk = std::min(ext.end, block_end) - pos;
     per_ost[static_cast<std::size_t>(block % n)] += chunk;
     pos += chunk;
@@ -109,13 +106,13 @@ SimDuration PfsCluster::charge_transfer(Extent ext, SimTime now) {
   }
   if (factor > 1.0) injector_->note_slowed_transfer();
   return static_cast<SimDuration>(
-      static_cast<double>(ext.size()) / cfg_.base.bytes_per_ns * factor);
+      static_cast<double>(ext.size()) / cfg_.bytes_per_ns * factor);
 }
 
-bool PfsCluster::punch_dead_stripes(std::vector<ReadExtent>& extents,
-                                    Extent range) {
-  if (!any_ost_down_ || range.empty()) return false;
-  const auto n = static_cast<std::uint64_t>(cfg_.ost_count);
+void PfsCluster::degrade_read(std::vector<ReadExtent>& extents, Extent range) {
+  if (!any_ost_down_ || range.empty()) return;
+  const auto n = static_cast<std::uint64_t>(cluster_cfg_.ost_count);
+  const Offset stripe = cluster_cfg_.stripe;
   std::map<Offset, detail::Seg> m;
   for (const auto& re : extents) {
     m.emplace(re.ext.begin, detail::Seg{re.ext.end, re.version, re.writer});
@@ -123,8 +120,8 @@ bool PfsCluster::punch_dead_stripes(std::vector<ReadExtent>& extents,
   bool punched = false;
   Offset pos = range.begin;
   while (pos < range.end) {
-    const Offset block = pos / cfg_.stripe;
-    const Offset block_end = (block + 1) * cfg_.stripe;
+    const Offset block = pos / stripe;
+    const Offset block_end = (block + 1) * stripe;
     const Offset end = std::min(range.end, block_end);
     if (!ost_[static_cast<std::size_t>(block % n)].up) {
       detail::assign(m, {pos, end}, 0, kNoRank);
@@ -132,372 +129,17 @@ bool PfsCluster::punch_dead_stripes(std::vector<ReadExtent>& extents,
     }
     pos = end;
   }
-  if (punched) extents = detail::emit_extents(m);
-  return punched;
-}
-
-int PfsCluster::inject(fault::OpClass c, Rank r, SimTime now) {
-  if (injector_ == nullptr) return 0;
-  return injector_->on_op(c, r, now);
-}
-
-void PfsCluster::set_fault_injector(fault::Injector* injector) {
-  injector_ = injector;
+  if (!punched) return;
+  extents = detail::emit_extents(m);
+  if (injector_ != nullptr) injector_->note_degraded_read();
 }
 
 // ----------------------------------------------------------------------
-// open / close
-
-OpenResult PfsCluster::open(Rank r, const std::string& path, int flags,
-                            SimTime now) {
-  if (const int e = inject(fault::OpClass::Meta, r, now)) {
-    return {-1, cfg_.base.meta_latency, e};
-  }
-  if (const int e = mds_route(shard_of(path), now)) {
-    return {-1, cfg_.base.meta_latency, e};
-  }
-  ++locks_.meta_ops;
-  auto f = lookup(path);
-  if (!f) {
-    if (!(flags & trace::kCreate)) return {-1, cfg_.base.meta_latency};
-    f = std::make_shared<File>();
-    f->path = path;
-    slot(path) = f;
-  }
-  if (flags & trace::kTrunc) {
-    f->writes.clear();
-    f->write_index.clear();
-    f->base.clear();
-    f->base_max_end = 0;
-    f->compact_watermark = 0;
-    f->size = 0;
-  }
-  auto of = std::make_unique<OpenFile>();
-  of->file = f;
-  of->flags = flags;
-  of->offset = 0;
-  of->t_open = now;
-  int& next = next_fd_[r];
-  if (next < 3) next = 3;
-  const int fd = next++;
-  open_files_[{r, fd}] = std::move(of);
-  return {fd, cfg_.base.meta_latency};
-}
-
-MetaResult PfsCluster::close(Rank r, int fd, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "close: bad file descriptor");
-  // Pin the file: if it was unlinked while open, this fd holds the last
-  // reference and erase() below would free it.
-  std::shared_ptr<File> pin = it->second->file;
-  File& f = *pin;
-  // close is both a commit (paper footnote 2) and the session publish
-  // point; it cannot surface an errno (the facade ignores it), so a dead
-  // shard with a standby promotes silently. With no replica left the
-  // commit/publish metadata update is *lost* — the fd still closes.
-  const int err = mds_route(shard_of(f.path), now, /*can_fail=*/false);
-  if (err == 0) {
-    for (auto& w : f.writes) {
-      if (w.writer != r) continue;
-      if (w.t_commit == kTimeNever) w.t_commit = now;
-      if (w.t_publish == kTimeNever) w.t_publish = now;
-    }
-  }
-  // Release this rank's locks.
-  if (cfg_.base.model == ConsistencyModel::Strong) {
-    for (auto& [blk, lock] : f.locks) lock.holders.erase(r);
-  }
-  open_files_.erase(it);
-  maybe_compact(f, now);
-  ++locks_.meta_ops;
-  return {0, cfg_.base.meta_latency, err};
-}
-
-// ----------------------------------------------------------------------
-// data ops
-
-WriteResult PfsCluster::write(Rank r, int fd, std::uint64_t count,
-                              SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "write: bad file descriptor");
-  OpenFile& of = *it->second;
-  const Offset off = (of.flags & trace::kAppend) ? of.file->size : of.offset;
-  WriteResult res = pwrite(r, fd, off, count, now);
-  if (res.err == 0) of.offset = off + count;  // a failed attempt wrote nothing
-  return res;
-}
-
-WriteResult PfsCluster::pwrite(Rank r, int fd, Offset off, std::uint64_t count,
-                               SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "pwrite: bad file descriptor");
-  File& f = *it->second->file;
-  if (f.laminated) {
-    // Read-only forever; EROFS is permanent, so retries never absorb it.
-    return {0, off, cfg_.base.data_latency, fault::kErofs};
-  }
-  // Inject before allocating the version tag: a failed attempt writes
-  // nothing, so a retried run consumes the exact same tags as a fault-free
-  // one (the retry-absorption property the tests assert). Writes go
-  // straight to the OSTs with the open handle — no MDS availability check
-  // — and succeed even onto a down OST (client write-behind; the data
-  // replays at restart, until which reads of those stripes return holes).
-  if (const int e = inject(fault::OpClass::Write, r, now)) {
-    return {0, off, cfg_.base.data_latency, e};
-  }
-  WriteRecord w;
-  w.id = next_version_++;
-  w.writer = r;
-  w.ext = {off, off + count};
-  w.t_write = now;
-  if (cfg_.base.model == ConsistencyModel::Strong) {
-    w.t_commit = now;
-    w.t_publish = now;
-  }
-  f.writes.push_back(w);
-  f.index_write(static_cast<std::uint32_t>(f.writes.size() - 1));
-  f.size = std::max(f.size, w.ext.end);
-  maybe_compact(f, now);
-  if (cfg_.base.model == ConsistencyModel::Eventual && injector_ != nullptr &&
-      injector_->visibility_extra(now) > 0) {
-    injector_->note_delayed_write();
-  }
-  SimDuration cost = cfg_.base.data_latency + charge_transfer(w.ext, now);
-  cost += charge_locks(f, r, w.ext, /*exclusive=*/true);
-  return {w.id, off, cost};
-}
-
-ReadResult PfsCluster::read(Rank r, int fd, std::uint64_t count, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "read: bad file descriptor");
-  OpenFile& of = *it->second;
-  ReadResult res = pread(r, fd, of.offset, count, now);
-  of.offset += res.bytes;
-  return res;
-}
-
-ReadResult PfsCluster::pread(Rank r, int fd, Offset off, std::uint64_t count,
-                             SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "pread: bad file descriptor");
-  OpenFile& of = *it->second;
-  File& f = *of.file;
-  ReadResult res;
-  res.offset = off;
-  if (const int e = inject(fault::OpClass::Read, r, now)) {
-    res.err = e;
-    res.cost = cfg_.base.data_latency;
-    return res;
-  }
-  res.bytes = off >= f.size ? 0 : std::min<std::uint64_t>(count, f.size - off);
-  if (res.bytes > 0) {
-    res.extents =
-        detail::resolve_view(f, env(), r, now, of.t_open, off, res.bytes);
-    // Degraded mode: stripe blocks on a down OST read as holes (the cost
-    // is still charged in full — the client waits out the request either
-    // way).
-    if (punch_dead_stripes(res.extents, {off, off + res.bytes}) &&
-        injector_ != nullptr) {
-      injector_->note_degraded_read();
-    }
-  }
-  res.cost = cfg_.base.data_latency + charge_transfer({off, off + res.bytes}, now);
-  res.cost += charge_locks(f, r, {off, off + res.bytes}, /*exclusive=*/false);
-  return res;
-}
-
-MetaResult PfsCluster::lseek(Rank r, int fd, std::int64_t delta, int whence,
-                             SimTime now) {
-  (void)now;
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "lseek: bad file descriptor");
-  OpenFile& of = *it->second;
-  std::int64_t base = 0;
-  switch (whence) {
-    case trace::kSeekSet: base = 0; break;
-    case trace::kSeekCur: base = static_cast<std::int64_t>(of.offset); break;
-    case trace::kSeekEnd: base = static_cast<std::int64_t>(of.file->size); break;
-    default: require(false, "lseek: bad whence");
-  }
-  const std::int64_t pos = base + delta;
-  if (pos < 0) return {-1, 0};
-  of.offset = static_cast<Offset>(pos);
-  return {pos, 0};
-}
-
-void PfsCluster::maybe_compact(File& f, SimTime now) {
-  if (!cfg_.base.compaction || !detail::should_compact(f)) return;
-  SimTime floor = kTimeNever;
-  if (cfg_.base.model == ConsistencyModel::Session) {
-    for (const auto& [key, of] : open_files_) {
-      if (of->file.get() == &f) floor = std::min(floor, of->t_open);
-    }
-  }
-  const std::size_t folded = detail::compact_file(f, env(), now, floor);
-  if (folded > 0) {
-    compaction_.folded_writes += folded;
-    ++compaction_.passes;
-    if (orun_ != nullptr && orun_->tracing()) {
-      orun_->tracer.counter(
-          {obs::kPidVfs, 0}, "vfs.compacted_writes", now,
-          static_cast<std::int64_t>(compaction_.folded_writes));
-    }
-  }
-}
-
-MetaResult PfsCluster::fsync(Rank r, int fd, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "fsync: bad file descriptor");
-  if (const int e = inject(fault::OpClass::Sync, r, now)) {
-    return {-1, cfg_.base.meta_latency, e};  // nothing committed this attempt
-  }
-  File& f = *it->second->file;
-  if (const int e = mds_route(shard_of(f.path), now)) {
-    return {-1, cfg_.base.meta_latency, e};
-  }
-  for (auto& w : f.writes) {
-    if (w.writer == r && w.t_commit == kTimeNever) w.t_commit = now;
-  }
-  maybe_compact(f, now);
-  ++locks_.meta_ops;
-  return {0, cfg_.base.meta_latency};
-}
-
-MetaResult PfsCluster::laminate(const std::string& path, SimTime now) {
-  auto f = lookup(path);
-  if (!f) return {-1, cfg_.base.meta_latency};
-  const int err = mds_route(shard_of(path), now, /*can_fail=*/false);
-  if (err == 0) {
-    for (auto& w : f->writes) {
-      if (w.t_commit == kTimeNever) w.t_commit = now;
-      if (w.t_publish == kTimeNever) w.t_publish = now;
-    }
-    f->laminated = true;
-    maybe_compact(*f, now);
-  }
-  ++locks_.meta_ops;
-  return {err == 0 ? 0 : -1, cfg_.base.meta_latency, err};
-}
-
-MetaResult PfsCluster::ftruncate(Rank r, int fd, Offset length, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "ftruncate: bad file descriptor");
-  if (const int e = inject(fault::OpClass::Meta, r, now)) {
-    return {-1, cfg_.base.meta_latency, e};
-  }
-  File& f = *it->second->file;
-  if (const int e = mds_route(shard_of(f.path), now)) {
-    return {-1, cfg_.base.meta_latency, e};
-  }
-  if (length < f.size) {
-    // Clip recorded writes so re-grown regions read as holes, like a real
-    // zero-filling truncate.
-    std::erase_if(f.writes,
-                  [&](const WriteRecord& w) { return w.ext.begin >= length; });
-    for (auto& w : f.writes) w.ext.end = std::min(w.ext.end, length);
-    f.rebuild_index();
-    detail::truncate_base(f, length);
-  }
-  f.size = length;
-  ++locks_.meta_ops;
-  return {0, cfg_.base.meta_latency};
-}
-
-// ----------------------------------------------------------------------
-// namespace ops
-
-MetaResult PfsCluster::stat(const std::string& path, SimTime now) {
-  if (const int e = inject(fault::OpClass::Meta, kNoRank, now)) {
-    return {-1, cfg_.base.meta_latency, e};
-  }
-  if (const int e = mds_route(shard_of(path), now)) {
-    return {-1, cfg_.base.meta_latency, e};
-  }
-  ++locks_.meta_ops;
-  auto f = lookup(path);
-  if (f) return {static_cast<std::int64_t>(f->size), cfg_.base.meta_latency};
-  if (dirs_.contains(names_.find(path))) return {0, cfg_.base.meta_latency};
-  return {-1, cfg_.base.meta_latency};
-}
-
-MetaResult PfsCluster::access(const std::string& path, SimTime now) {
-  if (const int e = inject(fault::OpClass::Meta, kNoRank, now)) {
-    return {-1, cfg_.base.meta_latency, e};
-  }
-  if (const int e = mds_route(shard_of(path), now)) {
-    return {-1, cfg_.base.meta_latency, e};
-  }
-  ++locks_.meta_ops;
-  return {lookup(path) || dirs_.contains(names_.find(path)) ? 0 : -1,
-          cfg_.base.meta_latency};
-}
-
-MetaResult PfsCluster::unlink(const std::string& path, SimTime now) {
-  if (const int e = inject(fault::OpClass::Meta, kNoRank, now)) {
-    return {-1, cfg_.base.meta_latency, e};
-  }
-  if (const int e = mds_route(shard_of(path), now)) {
-    return {-1, cfg_.base.meta_latency, e};
-  }
-  ++locks_.meta_ops;
-  auto f = lookup(path);
-  if (!f) return {-1, cfg_.base.meta_latency};
-  slot(path).reset();
-  return {0, cfg_.base.meta_latency};
-}
-
-MetaResult PfsCluster::mkdir(const std::string& path, SimTime now) {
-  if (const int e = inject(fault::OpClass::Meta, kNoRank, now)) {
-    return {-1, cfg_.base.meta_latency, e};
-  }
-  if (const int e = mds_route(shard_of(path), now)) {
-    return {-1, cfg_.base.meta_latency, e};
-  }
-  ++locks_.meta_ops;
-  return {dirs_.insert(names_.intern(path)).second ? 0 : -1,
-          cfg_.base.meta_latency};
-}
-
-MetaResult PfsCluster::rename(const std::string& from, const std::string& to,
-                              SimTime now) {
-  if (const int e = inject(fault::OpClass::Meta, kNoRank, now)) {
-    return {-1, cfg_.base.meta_latency, e};
-  }
-  // A rename spans two shards (source and destination directory entries);
-  // both must be reachable. One aggregate meta op either way, so the
-  // fault-free cost and counters match the single-server backend.
-  if (const int e = mds_route(shard_of(from), now)) {
-    return {-1, cfg_.base.meta_latency, e};
-  }
-  if (shard_of(to) != shard_of(from)) {
-    if (const int e = mds_route(shard_of(to), now)) {
-      return {-1, cfg_.base.meta_latency, e};
-    }
-  }
-  ++locks_.meta_ops;
-  auto f = lookup(from);
-  if (!f) return {-1, cfg_.base.meta_latency};
-  slot(from).reset();
-  f->path = to;
-  slot(to) = f;
-  return {0, cfg_.base.meta_latency};
-}
-
-// ----------------------------------------------------------------------
-// faults & server lifecycle
-
-std::vector<VersionTag> PfsCluster::crash_rank(Rank r, SimTime now) {
-  std::vector<VersionTag> lost = detail::apply_rank_crash(files_, r, now, env());
-  // Drop the rank's descriptors *without* the close-time commit/publish —
-  // a crashed process never reaches close().
-  std::erase_if(open_files_,
-                [&](const auto& kv) { return kv.first.first == r; });
-  return lost;
-}
+// server lifecycle
 
 void PfsCluster::apply_server_event(const fault::ServerEvent& ev, SimTime now) {
   if (ev.kind == fault::ServerKind::Mds) {
-    require(ev.id >= 0 && ev.id < cfg_.mds_count,
+    require(ev.id >= 0 && ev.id < cluster_cfg_.mds_count,
             "apply_server_event: mds id out of range");
     MdsState& s = mds_[static_cast<std::size_t>(ev.id)];
     if (!ev.restart) {
@@ -516,7 +158,7 @@ void PfsCluster::apply_server_event(const fault::ServerEvent& ev, SimTime now) {
       }
     }
   } else {
-    require(ev.id >= 0 && ev.id < cfg_.ost_count,
+    require(ev.id >= 0 && ev.id < cluster_cfg_.ost_count,
             "apply_server_event: ost id out of range");
     ost_[static_cast<std::size_t>(ev.id)].up = !ev.restart ? false : true;
     if (injector_ != nullptr) {
@@ -529,52 +171,6 @@ void PfsCluster::apply_server_event(const fault::ServerEvent& ev, SimTime now) {
   }
   any_ost_down_ = false;
   for (const auto& o : ost_) any_ost_down_ |= !o.up;
-}
-
-// ----------------------------------------------------------------------
-// preload & introspection
-
-void PfsCluster::preload(const std::string& path, Offset size) {
-  require(!exists(path), "preload: file already exists: " + path);
-  auto f = std::make_shared<File>();
-  f->path = path;
-  WriteRecord w;
-  w.id = next_version_++;
-  w.writer = kNoRank;
-  w.ext = {0, size};
-  w.t_write = -1;
-  w.t_commit = -1;
-  w.t_publish = -1;
-  f->writes.push_back(w);
-  f->index_write(0);
-  f->size = size;
-  slot(path) = std::move(f);
-}
-
-bool PfsCluster::exists(const std::string& path) const {
-  return lookup(path) != nullptr;
-}
-
-Offset PfsCluster::file_size(const std::string& path) const {
-  auto f = lookup(path);
-  return f ? f->size : 0;
-}
-
-std::vector<std::string> PfsCluster::list_files() const {
-  std::vector<std::string> out;
-  for (const auto& f : files_) {
-    if (f) out.push_back(f->path);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<ReadExtent> PfsCluster::strong_view(const std::string& path,
-                                                Offset off,
-                                                std::uint64_t count) const {
-  auto f = lookup(path);
-  require(f != nullptr, "strong_view: no such file");
-  return detail::strong_view_of(*f, off, count);
 }
 
 }  // namespace pfsem::vfs

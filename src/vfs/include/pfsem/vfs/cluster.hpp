@@ -31,29 +31,24 @@
 //    (file_core.hpp), so split-brain staleness is observable under every
 //    consistency model, on this backend and on single-server Pfs alike.
 //
+// Semantics and op bodies live in one place, the shared PfsBase
+// (pfs_base.hpp); backends differ only in routing, pricing and fault
+// domains. This backend adds exactly those: shard routing with standby
+// failover, link-bound pricing, degraded reads, and the server state the
+// fault plan flips.
+//
 // Differential oracle: with no faults, every operation has the same
 // result and the same simulated cost as single-server Pfs regardless of
-// (N, M, stripe) — semantics come from the shared file core, metadata
-// ops cost one meta_latency wherever the shard lives, and transfers are
+// (N, M, stripe) — the op bodies are shared, metadata ops cost one
+// meta_latency wherever the shard lives, and transfers are
 // client-link-bound (PfsConfig::bytes_per_ns is the aggregate), so trace
 // bundles and reports are byte-identical across topologies.
 
-#include <map>
-#include <memory>
-#include <set>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "pfsem/fault/plan.hpp"
-#include "pfsem/trace/path_table.hpp"
-#include "pfsem/vfs/file_core.hpp"
-#include "pfsem/vfs/filesystem.hpp"
-#include "pfsem/vfs/pfs_types.hpp"
-
-namespace pfsem::obs {
-struct Run;
-}  // namespace pfsem::obs
+#include "pfsem/vfs/pfs_base.hpp"
 
 namespace pfsem::vfs {
 
@@ -80,120 +75,41 @@ struct OstState {
   bool up = true;
 };
 
-class PfsCluster final : public FileSystem {
+class PfsCluster final : public PfsBase {
  public:
   explicit PfsCluster(ClusterConfig cfg = {});
   ~PfsCluster() override;
-  PfsCluster(const PfsCluster&) = delete;
-  PfsCluster& operator=(const PfsCluster&) = delete;
 
-  [[nodiscard]] const ClusterConfig& config() const { return cfg_; }
-  [[nodiscard]] const LockStats& lock_stats() const { return locks_; }
-  [[nodiscard]] const CompactionStats& compaction_stats() const {
-    return compaction_;
-  }
-  [[nodiscard]] const OstStats& ost_stats() const { return osts_; }
+  [[nodiscard]] const ClusterConfig& config() const { return cluster_cfg_; }
   [[nodiscard]] const std::vector<MdsState>& mds_states() const { return mds_; }
   [[nodiscard]] const std::vector<OstState>& ost_states() const { return ost_; }
-  [[nodiscard]] SimDuration meta_latency() const override {
-    return cfg_.base.meta_latency;
-  }
-  [[nodiscard]] CostSnapshot cost_snapshot() const override {
-    return {locks_.requests, locks_.revocations, locks_.meta_ops,
-            osts_.total_bytes};
-  }
-
-  /// Attach an observability context (nullptr = off, the default). Used
-  /// only for counter-track samples (vfs.compacted_writes over sim time).
-  void set_observer(obs::Run* run) { orun_ = run; }
 
   /// Metadata shard serving `path` (FNV-1a hash mod mds_count).
   [[nodiscard]] int shard_of(std::string_view path) const;
-
-  // --- file data operations (see FileSystem) ----------------------------
-  OpenResult open(Rank r, const std::string& path, int flags,
-                  SimTime now) override;
-  MetaResult close(Rank r, int fd, SimTime now) override;
-  WriteResult write(Rank r, int fd, std::uint64_t count, SimTime now) override;
-  WriteResult pwrite(Rank r, int fd, Offset off, std::uint64_t count,
-                     SimTime now) override;
-  ReadResult read(Rank r, int fd, std::uint64_t count, SimTime now) override;
-  ReadResult pread(Rank r, int fd, Offset off, std::uint64_t count,
-                   SimTime now) override;
-  MetaResult lseek(Rank r, int fd, std::int64_t delta, int whence,
-                   SimTime now) override;
-  MetaResult fsync(Rank r, int fd, SimTime now) override;
-  MetaResult ftruncate(Rank r, int fd, Offset length, SimTime now) override;
-
-  /// UnifyFS-style lamination; a commit point, so it rides a promoted
-  /// replica silently (never fails with EHOSTDOWN).
-  MetaResult laminate(const std::string& path, SimTime now);
-
-  // --- namespace / metadata operations ----------------------------------
-  MetaResult stat(const std::string& path, SimTime now) override;
-  MetaResult access(const std::string& path, SimTime now) override;
-  MetaResult unlink(const std::string& path, SimTime now) override;
-  MetaResult mkdir(const std::string& path, SimTime now) override;
-  MetaResult rename(const std::string& from, const std::string& to,
-                    SimTime now) override;
-
-  void preload(const std::string& path, Offset size) override;
-
-  // --- fault injection (pfsem::fault) ------------------------------------
-  void set_fault_injector(fault::Injector* injector) override;
-  std::vector<VersionTag> crash_rank(Rank r, SimTime now) override;
 
   /// Apply one server crash/restart at its simulated instant (called from
   /// the harness's per-event killable roots, in deterministic DES order).
   void apply_server_event(const fault::ServerEvent& ev, SimTime now);
 
-  // --- introspection (tests & benches) ----------------------------------
-  [[nodiscard]] bool exists(const std::string& path) const;
-  [[nodiscard]] Offset file_size(const std::string& path) const;
-  [[nodiscard]] std::vector<std::string> list_files() const;
-  [[nodiscard]] std::vector<ReadExtent> strong_view(const std::string& path,
-                                                    Offset off,
-                                                    std::uint64_t count) const;
-
  private:
-  using File = detail::FileCore;
-  struct OpenFile;
-
-  [[nodiscard]] detail::ResolveEnv env() const {
-    return {cfg_.base.model, cfg_.base.eventual_propagation, injector_};
-  }
-  std::shared_ptr<File> lookup(const std::string& path) const;
-  std::shared_ptr<File>& slot(const std::string& path);
-  /// Availability check + per-shard accounting for one metadata op. 0 =
-  /// served. A dead primary with a standby promotes it; `can_fail` ops
-  /// observe EHOSTDOWN once (the client failover redirects), commit
+  /// Per-OST accounting over the stripe layout; the time is client-link
+  /// bound, so topology never changes fault-free costs.
+  SimDuration charge_transfer(Extent ext, SimTime now) override;
+  /// Availability check + per-shard accounting for one metadata op on
+  /// `path`'s shard. A dead primary with a standby promotes it; `can_fail`
+  /// ops observe EHOSTDOWN once (the client failover redirects), commit
   /// points (can_fail = false) ride the new primary silently.
-  int mds_route(int shard, SimTime now, bool can_fail = true);
-  SimDuration charge_locks(File& f, Rank r, Extent ext, bool exclusive);
-  SimDuration charge_transfer(Extent ext, SimTime now);
-  /// Replace resolved bytes on down-OST stripe blocks with holes; true if
-  /// the range touched a down OST.
-  bool punch_dead_stripes(std::vector<ReadExtent>& extents, Extent range);
-  int inject(fault::OpClass c, Rank r, SimTime now);
-  /// Amortized extent-compaction trigger (cfg_.base.compaction); called
-  /// at commit points and after writes.
-  void maybe_compact(File& f, SimTime now);
+  int route(std::string_view path, SimTime now, bool can_fail) override;
+  int route_rename(std::string_view from, std::string_view to,
+                   SimTime now) override;
+  /// Replace resolved bytes on down-OST stripe blocks with holes, noting
+  /// a degraded read when the range touched a down OST.
+  void degrade_read(std::vector<ReadExtent>& extents, Extent range) override;
 
-  ClusterConfig cfg_;
-  trace::PathTable names_;
-  std::vector<std::shared_ptr<File>> files_;
-  std::set<FileId> dirs_;
-  std::map<std::pair<Rank, int>, std::unique_ptr<OpenFile>> open_files_;
-  std::map<Rank, int> next_fd_;
-  VersionTag next_version_ = 1;
-  LockStats locks_;
-  OstStats osts_;
-  CompactionStats compaction_;
+  ClusterConfig cluster_cfg_;
   std::vector<MdsState> mds_;
   std::vector<OstState> ost_;
-  bool any_ost_down_ = false;  ///< fast-path guard for punch_dead_stripes
-  fault::Injector* injector_ = nullptr;  ///< not owned; nullptr = no faults
-  obs::Run* orun_ = nullptr;             ///< not owned; nullptr = obs off
+  bool any_ost_down_ = false;  ///< fast-path guard for degrade_read
 };
 
 }  // namespace pfsem::vfs

@@ -1,8 +1,9 @@
 #pragma once
 // Abstract file-system interface the simulated I/O stack runs against.
-// Implemented by vfs::Pfs (the consistency-model-parameterized parallel
-// file system) and vfs::BurstBufferPfs (a node-local burst-buffer tier
-// with commit semantics, UnifyFS/BurstFS style). Every operation takes
+// Implemented by vfs::PfsBase (the consistency-model-parameterized parallel
+// file system, with its backends vfs::Pfs and vfs::PfsCluster) and
+// vfs::BurstBufferPfs (a node-local burst-buffer tier with commit
+// semantics, UnifyFS/BurstFS style). Every operation takes
 // the current simulated time and returns a simulated cost the caller
 // advances the clock by.
 

@@ -23,141 +23,29 @@
 // acquisition/revocation traffic, the overhead the paper identifies as the
 // price of POSIX semantics (Section 3.1); data transfers are striped
 // round-robin across OSTs (PfsConfig::stripe_count).
+//
+// Semantics and op bodies live in one place, the shared PfsBase
+// (pfs_base.hpp); backends differ only in routing, pricing and fault
+// domains. This single-server backend keeps only its pricing: a transfer
+// costs the slowest of its per-OST shares. Every metadata op is served
+// and no read is degraded, which makes it the topology oracle the
+// multi-server PfsCluster (cluster.hpp) is checked against.
 
-#include <map>
-#include <memory>
-#include <set>
-#include <string>
-#include <vector>
-
-#include "pfsem/trace/path_table.hpp"
-#include "pfsem/vfs/file_core.hpp"
-#include "pfsem/vfs/filesystem.hpp"
-#include "pfsem/vfs/pfs_types.hpp"
-
-namespace pfsem::obs {
-struct Run;
-}  // namespace pfsem::obs
+#include "pfsem/vfs/pfs_base.hpp"
 
 namespace pfsem::vfs {
 
-class Pfs final : public FileSystem {
+class Pfs final : public PfsBase {
  public:
   explicit Pfs(PfsConfig cfg = {});
   ~Pfs() override;
-  Pfs(const Pfs&) = delete;
-  Pfs& operator=(const Pfs&) = delete;
 
   [[nodiscard]] const PfsConfig& config() const { return cfg_; }
-  [[nodiscard]] const LockStats& lock_stats() const { return locks_; }
-  [[nodiscard]] const OstStats& ost_stats() const { return osts_; }
-  [[nodiscard]] const CompactionStats& compaction_stats() const {
-    return compaction_;
-  }
-  [[nodiscard]] SimDuration meta_latency() const override {
-    return cfg_.meta_latency;
-  }
-  [[nodiscard]] CostSnapshot cost_snapshot() const override {
-    return {locks_.requests, locks_.revocations, locks_.meta_ops,
-            osts_.total_bytes};
-  }
-
-  /// Attach an observability context (nullptr = off, the default). Used
-  /// only for counter-track samples (vfs.compacted_writes over sim time);
-  /// scalar gauges stay harness-published, so this is one extra branch on
-  /// the compaction path and nothing on the data path.
-  void set_observer(obs::Run* run) { orun_ = run; }
-
-  // --- file data operations (see FileSystem) ----------------------------
-  OpenResult open(Rank r, const std::string& path, int flags,
-                  SimTime now) override;
-  MetaResult close(Rank r, int fd, SimTime now) override;
-  WriteResult write(Rank r, int fd, std::uint64_t count, SimTime now) override;
-  WriteResult pwrite(Rank r, int fd, Offset off, std::uint64_t count,
-                     SimTime now) override;
-  ReadResult read(Rank r, int fd, std::uint64_t count, SimTime now) override;
-  ReadResult pread(Rank r, int fd, Offset off, std::uint64_t count,
-                   SimTime now) override;
-  MetaResult lseek(Rank r, int fd, std::int64_t delta, int whence,
-                   SimTime now) override;
-  MetaResult fsync(Rank r, int fd, SimTime now) override;
-  MetaResult ftruncate(Rank r, int fd, Offset length, SimTime now) override;
-
-  /// UnifyFS-style lamination (Section 3.2): make every write to `path`
-  /// globally visible and the file permanently read-only. Subsequent
-  /// writes fail with ret -1 regardless of model.
-  MetaResult laminate(const std::string& path, SimTime now);
-
-  // --- namespace / metadata operations ----------------------------------
-  MetaResult stat(const std::string& path, SimTime now) override;
-  MetaResult access(const std::string& path, SimTime now) override;
-  MetaResult unlink(const std::string& path, SimTime now) override;
-  MetaResult mkdir(const std::string& path, SimTime now) override;
-  MetaResult rename(const std::string& from, const std::string& to,
-                    SimTime now) override;
-
-  /// Create `path` with `size` bytes of pre-existing ("genesis") content,
-  /// visible to every process under every consistency model — input files
-  /// staged before the traced job starts (datasets, configuration decks).
-  /// Emits no trace records and no conflicts.
-  void preload(const std::string& path, Offset size) override;
-
-  // --- fault injection (pfsem::fault) ------------------------------------
-  void set_fault_injector(fault::Injector* injector) override;
-  std::vector<VersionTag> crash_rank(Rank r, SimTime now) override;
-
-  // --- introspection (tests & benches) ----------------------------------
-  [[nodiscard]] bool exists(const std::string& path) const;
-  [[nodiscard]] Offset file_size(const std::string& path) const;
-  [[nodiscard]] std::vector<std::string> list_files() const;
-
-  /// What a POSIX-strong PFS would return for this range right now — the
-  /// oracle tests compare weaker-model reads against to detect staleness.
-  [[nodiscard]] std::vector<ReadExtent> strong_view(const std::string& path,
-                                                    Offset off,
-                                                    std::uint64_t count) const;
 
  private:
-  /// Per-file semantics live in the shared core (file_core.hpp) so the
-  /// multi-server PfsCluster resolves reads with identical code.
-  using File = detail::FileCore;
-  struct OpenFile;
-
-  File& file_for_fd(Rank r, int fd);
-  std::shared_ptr<File> lookup(const std::string& path) const;
-  /// Slot for `path` in the id-indexed file vector, interning on demand.
-  /// A null slot means the name is known but no file currently exists
-  /// (never created, unlinked, or renamed away).
-  std::shared_ptr<File>& slot(const std::string& path);
-  SimDuration charge_locks(File& f, Rank r, Extent ext, bool exclusive);
-  /// Amortized extent-compaction trigger (cfg_.compaction); called at
-  /// commit points and after writes.
-  void maybe_compact(File& f, SimTime now);
-  /// Transfer cost of `ext` across the striped OSTs (updates ost_stats).
-  /// An active OST slowdown (fault injection) stretches the affected
-  /// per-OST transfer times.
-  SimDuration charge_transfer(Extent ext, SimTime now);
-  /// Injected errno for one operation (0 when no injector / no fault).
-  int inject(int op_class, Rank r, SimTime now);
-  std::vector<ReadExtent> resolve(const File& f, Rank r, SimTime now,
-                                  SimTime session_open, Offset off,
-                                  std::uint64_t count) const;
-
-  PfsConfig cfg_;
-  /// Namespace: every path ever seen is interned once; live files occupy
-  /// the matching slot of the dense id-indexed vector and directories are
-  /// a set of interned ids. No string-keyed map on the simulation path.
-  trace::PathTable names_;
-  std::vector<std::shared_ptr<File>> files_;
-  std::set<FileId> dirs_;
-  std::map<std::pair<Rank, int>, std::unique_ptr<OpenFile>> open_files_;
-  std::map<Rank, int> next_fd_;
-  VersionTag next_version_ = 1;
-  LockStats locks_;
-  OstStats osts_;
-  CompactionStats compaction_;
-  fault::Injector* injector_ = nullptr;  ///< not owned; nullptr = no faults
-  obs::Run* orun_ = nullptr;             ///< not owned; nullptr = obs off
+  /// Transfer cost of `ext` across the striped OSTs: the maximum of the
+  /// per-OST transfer times, each stretched by any active OST slowdown.
+  SimDuration charge_transfer(Extent ext, SimTime now) override;
 };
 
 }  // namespace pfsem::vfs

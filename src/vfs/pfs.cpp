@@ -3,65 +3,23 @@
 #include <algorithm>
 
 #include "pfsem/fault/injector.hpp"
-#include "pfsem/obs/obs.hpp"
-#include "pfsem/trace/record.hpp"
 #include "pfsem/util/error.hpp"
 
 namespace pfsem::vfs {
 
-const char* to_string(ConsistencyModel m) {
-  switch (m) {
-    case ConsistencyModel::Strong: return "strong";
-    case ConsistencyModel::Commit: return "commit";
-    case ConsistencyModel::Session: return "session";
-    case ConsistencyModel::Eventual: return "eventual";
-  }
-  return "?";
+namespace {
+
+/// Validated OST count of a single-server configuration.
+std::size_t checked_stripes(const PfsConfig& cfg) {
+  require(cfg.stripe_count >= 1, "stripe_count must be >= 1");
+  require(cfg.stripe_size > 0, "stripe_size must be positive");
+  return static_cast<std::size_t>(cfg.stripe_count);
 }
 
-using detail::WriteRecord;
+}  // namespace
 
-struct Pfs::OpenFile {
-  std::shared_ptr<File> file;
-  int flags = 0;
-  Offset offset = 0;
-  SimTime t_open = 0;
-};
-
-Pfs::Pfs(PfsConfig cfg) : cfg_(cfg) {
-  require(cfg_.stripe_count >= 1, "stripe_count must be >= 1");
-  require(cfg_.stripe_size > 0, "stripe_size must be positive");
-  dirs_.insert(names_.intern("/"));
-  osts_.requests.assign(static_cast<std::size_t>(cfg_.stripe_count), 0);
-  osts_.bytes.assign(static_cast<std::size_t>(cfg_.stripe_count), 0);
-}
+Pfs::Pfs(PfsConfig cfg) : PfsBase(cfg, checked_stripes(cfg)) {}
 Pfs::~Pfs() = default;
-
-std::shared_ptr<Pfs::File> Pfs::lookup(const std::string& path) const {
-  const FileId id = names_.find(path);
-  return id == kNoFile || id >= files_.size() ? nullptr : files_[id];
-}
-
-std::shared_ptr<Pfs::File>& Pfs::slot(const std::string& path) {
-  const FileId id = names_.intern(path);
-  if (id >= files_.size()) files_.resize(id + 1);
-  return files_[id];
-}
-
-Pfs::File& Pfs::file_for_fd(Rank r, int fd) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "bad file descriptor");
-  return *it->second->file;
-}
-
-// ----------------------------------------------------------------------
-// lock cost model (strong semantics only)
-
-SimDuration Pfs::charge_locks(File& f, Rank r, Extent ext, bool exclusive) {
-  return detail::charge_locks(
-      f, r, ext, exclusive, {cfg_.model, cfg_.lock_latency, cfg_.lock_block},
-      locks_);
-}
 
 SimDuration Pfs::charge_transfer(Extent ext, SimTime now) {
   if (ext.empty()) return 0;
@@ -106,362 +64,6 @@ SimDuration Pfs::charge_transfer(Extent ext, SimTime now) {
   }
   if (slowed) injector_->note_slowed_transfer();
   return cost;
-}
-
-void Pfs::maybe_compact(File& f, SimTime now) {
-  if (!cfg_.compaction || !detail::should_compact(f)) return;
-  SimTime floor = kTimeNever;
-  if (cfg_.model == ConsistencyModel::Session) {
-    for (const auto& [key, of] : open_files_) {
-      if (of->file.get() == &f) floor = std::min(floor, of->t_open);
-    }
-  }
-  const std::size_t folded = detail::compact_file(
-      f, {cfg_.model, cfg_.eventual_propagation, injector_}, now, floor);
-  if (folded > 0) {
-    compaction_.folded_writes += folded;
-    ++compaction_.passes;
-    if (orun_ != nullptr && orun_->tracing()) {
-      orun_->tracer.counter(
-          {obs::kPidVfs, 0}, "vfs.compacted_writes", now,
-          static_cast<std::int64_t>(compaction_.folded_writes));
-    }
-  }
-}
-
-int Pfs::inject(int op_class, Rank r, SimTime now) {
-  if (injector_ == nullptr) return 0;
-  return injector_->on_op(static_cast<fault::OpClass>(op_class), r, now);
-}
-
-void Pfs::set_fault_injector(fault::Injector* injector) { injector_ = injector; }
-
-// ----------------------------------------------------------------------
-// open / close
-
-OpenResult Pfs::open(Rank r, const std::string& path, int flags, SimTime now) {
-  if (const int e = inject(static_cast<int>(fault::OpClass::Meta), r, now)) {
-    return {-1, cfg_.meta_latency, e};
-  }
-  ++locks_.meta_ops;
-  auto f = lookup(path);
-  if (!f) {
-    if (!(flags & trace::kCreate)) return {-1, cfg_.meta_latency};
-    f = std::make_shared<File>();
-    f->path = path;
-    slot(path) = f;
-  }
-  if (flags & trace::kTrunc) {
-    f->writes.clear();
-    f->write_index.clear();
-    f->base.clear();
-    f->base_max_end = 0;
-    f->compact_watermark = 0;
-    f->size = 0;
-  }
-  auto of = std::make_unique<OpenFile>();
-  of->file = f;
-  of->flags = flags;
-  of->offset = 0;
-  of->t_open = now;
-  int& next = next_fd_[r];
-  if (next < 3) next = 3;
-  const int fd = next++;
-  open_files_[{r, fd}] = std::move(of);
-  return {fd, cfg_.meta_latency};
-}
-
-MetaResult Pfs::close(Rank r, int fd, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "close: bad file descriptor");
-  // Pin the file: if it was unlinked while open, this fd holds the last
-  // reference and erase() below would free it.
-  std::shared_ptr<File> pin = it->second->file;
-  File& f = *pin;
-  // close is both a commit (paper footnote 2) and the session publish point.
-  for (auto& w : f.writes) {
-    if (w.writer != r) continue;
-    if (w.t_commit == kTimeNever) w.t_commit = now;
-    if (w.t_publish == kTimeNever) w.t_publish = now;
-  }
-  // Release this rank's locks.
-  if (cfg_.model == ConsistencyModel::Strong) {
-    for (auto& [blk, lock] : f.locks) lock.holders.erase(r);
-  }
-  open_files_.erase(it);
-  maybe_compact(f, now);
-  ++locks_.meta_ops;
-  return {0, cfg_.meta_latency};
-}
-
-// ----------------------------------------------------------------------
-// data ops
-
-WriteResult Pfs::write(Rank r, int fd, std::uint64_t count, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "write: bad file descriptor");
-  OpenFile& of = *it->second;
-  const Offset off = (of.flags & trace::kAppend) ? of.file->size : of.offset;
-  WriteResult res = pwrite(r, fd, off, count, now);
-  if (res.err == 0) of.offset = off + count;  // a failed attempt wrote nothing
-  return res;
-}
-
-WriteResult Pfs::pwrite(Rank r, int fd, Offset off, std::uint64_t count,
-                        SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "pwrite: bad file descriptor");
-  File& f = *it->second->file;
-  if (f.laminated) {
-    // Read-only forever; EROFS is permanent, so retries never absorb it.
-    return {0, off, cfg_.data_latency, fault::kErofs};
-  }
-  // Inject before allocating the version tag: a failed attempt writes
-  // nothing, so a retried run consumes the exact same tags as a fault-free
-  // one (the retry-absorption property the tests assert).
-  if (const int e = inject(static_cast<int>(fault::OpClass::Write), r, now)) {
-    return {0, off, cfg_.data_latency, e};
-  }
-  WriteRecord w;
-  w.id = next_version_++;
-  w.writer = r;
-  w.ext = {off, off + count};
-  w.t_write = now;
-  if (cfg_.model == ConsistencyModel::Strong) {
-    w.t_commit = now;
-    w.t_publish = now;
-  }
-  f.writes.push_back(w);
-  f.index_write(static_cast<std::uint32_t>(f.writes.size() - 1));
-  f.size = std::max(f.size, w.ext.end);
-  maybe_compact(f, now);
-  if (cfg_.model == ConsistencyModel::Eventual && injector_ != nullptr &&
-      injector_->visibility_extra(now) > 0) {
-    injector_->note_delayed_write();
-  }
-  SimDuration cost = cfg_.data_latency + charge_transfer(w.ext, now);
-  cost += charge_locks(f, r, w.ext, /*exclusive=*/true);
-  return {w.id, off, cost};
-}
-
-ReadResult Pfs::read(Rank r, int fd, std::uint64_t count, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "read: bad file descriptor");
-  OpenFile& of = *it->second;
-  ReadResult res = pread(r, fd, of.offset, count, now);
-  of.offset += res.bytes;
-  return res;
-}
-
-ReadResult Pfs::pread(Rank r, int fd, Offset off, std::uint64_t count,
-                      SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "pread: bad file descriptor");
-  OpenFile& of = *it->second;
-  File& f = *of.file;
-  ReadResult res;
-  res.offset = off;
-  if (const int e = inject(static_cast<int>(fault::OpClass::Read), r, now)) {
-    res.err = e;
-    res.cost = cfg_.data_latency;
-    return res;
-  }
-  res.bytes = off >= f.size ? 0 : std::min<std::uint64_t>(count, f.size - off);
-  if (res.bytes > 0) {
-    res.extents = resolve(f, r, now, of.t_open, off, res.bytes);
-  }
-  res.cost = cfg_.data_latency + charge_transfer({off, off + res.bytes}, now);
-  res.cost += charge_locks(f, r, {off, off + res.bytes}, /*exclusive=*/false);
-  return res;
-}
-
-MetaResult Pfs::lseek(Rank r, int fd, std::int64_t delta, int whence,
-                      SimTime now) {
-  (void)now;
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "lseek: bad file descriptor");
-  OpenFile& of = *it->second;
-  std::int64_t base = 0;
-  switch (whence) {
-    case trace::kSeekSet: base = 0; break;
-    case trace::kSeekCur: base = static_cast<std::int64_t>(of.offset); break;
-    case trace::kSeekEnd: base = static_cast<std::int64_t>(of.file->size); break;
-    default: require(false, "lseek: bad whence");
-  }
-  const std::int64_t pos = base + delta;
-  if (pos < 0) return {-1, 0};
-  of.offset = static_cast<Offset>(pos);
-  return {pos, 0};
-}
-
-MetaResult Pfs::fsync(Rank r, int fd, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "fsync: bad file descriptor");
-  if (const int e = inject(static_cast<int>(fault::OpClass::Sync), r, now)) {
-    return {-1, cfg_.meta_latency, e};  // nothing committed this attempt
-  }
-  File& f = *it->second->file;
-  for (auto& w : f.writes) {
-    if (w.writer == r && w.t_commit == kTimeNever) w.t_commit = now;
-  }
-  maybe_compact(f, now);
-  ++locks_.meta_ops;
-  return {0, cfg_.meta_latency};
-}
-
-MetaResult Pfs::laminate(const std::string& path, SimTime now) {
-  auto f = lookup(path);
-  if (!f) return {-1, cfg_.meta_latency};
-  for (auto& w : f->writes) {
-    if (w.t_commit == kTimeNever) w.t_commit = now;
-    if (w.t_publish == kTimeNever) w.t_publish = now;
-  }
-  f->laminated = true;
-  maybe_compact(*f, now);
-  ++locks_.meta_ops;
-  return {0, cfg_.meta_latency};
-}
-
-MetaResult Pfs::ftruncate(Rank r, int fd, Offset length, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "ftruncate: bad file descriptor");
-  if (const int e = inject(static_cast<int>(fault::OpClass::Meta), r, now)) {
-    return {-1, cfg_.meta_latency, e};
-  }
-  File& f = *it->second->file;
-  if (length < f.size) {
-    // Clip recorded writes so re-grown regions read as holes, like a real
-    // zero-filling truncate.
-    std::erase_if(f.writes, [&](const WriteRecord& w) { return w.ext.begin >= length; });
-    for (auto& w : f.writes) w.ext.end = std::min(w.ext.end, length);
-    f.rebuild_index();
-    detail::truncate_base(f, length);
-  }
-  f.size = length;
-  ++locks_.meta_ops;
-  return {0, cfg_.meta_latency};
-}
-
-// ----------------------------------------------------------------------
-// namespace ops
-
-// Path-based metadata ops carry no rank; injected faults target kNoRank
-// (transient faults apply to every rank anyway — only crash filtering is
-// per-rank, and that happens in the facade, which knows the caller).
-
-MetaResult Pfs::stat(const std::string& path, SimTime now) {
-  if (const int e = inject(static_cast<int>(fault::OpClass::Meta), kNoRank, now)) {
-    return {-1, cfg_.meta_latency, e};
-  }
-  ++locks_.meta_ops;
-  auto f = lookup(path);
-  if (f) return {static_cast<std::int64_t>(f->size), cfg_.meta_latency};
-  if (dirs_.contains(names_.find(path))) return {0, cfg_.meta_latency};
-  return {-1, cfg_.meta_latency};
-}
-
-MetaResult Pfs::access(const std::string& path, SimTime now) {
-  if (const int e = inject(static_cast<int>(fault::OpClass::Meta), kNoRank, now)) {
-    return {-1, cfg_.meta_latency, e};
-  }
-  ++locks_.meta_ops;
-  return {lookup(path) || dirs_.contains(names_.find(path)) ? 0 : -1,
-          cfg_.meta_latency};
-}
-
-MetaResult Pfs::unlink(const std::string& path, SimTime now) {
-  if (const int e = inject(static_cast<int>(fault::OpClass::Meta), kNoRank, now)) {
-    return {-1, cfg_.meta_latency, e};
-  }
-  ++locks_.meta_ops;
-  auto f = lookup(path);
-  if (!f) return {-1, cfg_.meta_latency};
-  slot(path).reset();
-  return {0, cfg_.meta_latency};
-}
-
-MetaResult Pfs::mkdir(const std::string& path, SimTime now) {
-  if (const int e = inject(static_cast<int>(fault::OpClass::Meta), kNoRank, now)) {
-    return {-1, cfg_.meta_latency, e};
-  }
-  ++locks_.meta_ops;
-  return {dirs_.insert(names_.intern(path)).second ? 0 : -1,
-          cfg_.meta_latency};
-}
-
-MetaResult Pfs::rename(const std::string& from, const std::string& to,
-                       SimTime now) {
-  if (const int e = inject(static_cast<int>(fault::OpClass::Meta), kNoRank, now)) {
-    return {-1, cfg_.meta_latency, e};
-  }
-  ++locks_.meta_ops;
-  auto f = lookup(from);
-  if (!f) return {-1, cfg_.meta_latency};
-  slot(from).reset();
-  f->path = to;
-  slot(to) = f;
-  return {0, cfg_.meta_latency};
-}
-
-// ----------------------------------------------------------------------
-// visibility resolution
-
-std::vector<ReadExtent> Pfs::resolve(const File& f, Rank r, SimTime now,
-                                     SimTime session_open, Offset off,
-                                     std::uint64_t count) const {
-  return detail::resolve_view(f,
-                              {cfg_.model, cfg_.eventual_propagation, injector_},
-                              r, now, session_open, off, count);
-}
-
-std::vector<ReadExtent> Pfs::strong_view(const std::string& path, Offset off,
-                                         std::uint64_t count) const {
-  auto f = lookup(path);
-  require(f != nullptr, "strong_view: no such file");
-  return detail::strong_view_of(*f, off, count);
-}
-
-std::vector<VersionTag> Pfs::crash_rank(Rank r, SimTime now) {
-  std::vector<VersionTag> lost = detail::apply_rank_crash(
-      files_, r, now, {cfg_.model, cfg_.eventual_propagation, injector_});
-  // Drop the rank's descriptors *without* the close-time commit/publish —
-  // a crashed process never reaches close().
-  std::erase_if(open_files_,
-                [&](const auto& kv) { return kv.first.first == r; });
-  return lost;
-}
-
-void Pfs::preload(const std::string& path, Offset size) {
-  require(!exists(path), "preload: file already exists: " + path);
-  auto f = std::make_shared<File>();
-  f->path = path;
-  WriteRecord w;
-  w.id = next_version_++;
-  w.writer = kNoRank;
-  w.ext = {0, size};
-  w.t_write = -1;
-  w.t_commit = -1;
-  w.t_publish = -1;
-  f->writes.push_back(w);
-  f->index_write(0);
-  f->size = size;
-  slot(path) = std::move(f);
-}
-
-bool Pfs::exists(const std::string& path) const { return lookup(path) != nullptr; }
-
-Offset Pfs::file_size(const std::string& path) const {
-  auto f = lookup(path);
-  return f ? f->size : 0;
-}
-
-std::vector<std::string> Pfs::list_files() const {
-  std::vector<std::string> out;
-  for (const auto& f : files_) {
-    if (f) out.push_back(f->path);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 }  // namespace pfsem::vfs

@@ -1,11 +1,16 @@
 // Behavioural litmus tests for the PFS consistency models (Section 3).
-// Each test drives the same access script against a Pfs configured with a
-// different model and checks exactly which write each read observes.
+// Each test drives the same access script against a backend configured
+// with a different model and checks exactly which write each read
+// observes. Every test except Striping.* (Pfs pricing) runs its body on
+// both backends, the single-server Pfs and a multi-server PfsCluster:
+// they share one body per op and must agree on every result.
 
 #include <gtest/gtest.h>
 
 #include "pfsem/trace/record.hpp"
 #include "pfsem/util/error.hpp"
+#include "pfsem/fault/plan.hpp"
+#include "pfsem/vfs/cluster.hpp"
 #include "pfsem/vfs/pfs.hpp"
 
 namespace pfsem::vfs {
@@ -32,110 +37,137 @@ VersionTag tag_at(const std::vector<ReadExtent>& extents, Offset at) {
   return 0;
 }
 
+/// Run `body(fs)` once per backend: Pfs(cfg) and PfsCluster(2 MDS, 4 OST,
+/// 64 KiB stripes) over the same cfg. The backend is the test's parameter;
+/// the body is written once, generic over it.
+template <class Body>
+void on_each_backend(const PfsConfig& cfg, Body body) {
+  {
+    SCOPED_TRACE("Pfs");
+    Pfs fs(cfg);
+    body(fs);
+  }
+  {
+    SCOPED_TRACE("PfsCluster(2, 4, 64 KiB)");
+    PfsCluster fs(ClusterConfig{
+        .base = cfg, .mds_count = 2, .ost_count = 4, .stripe = 64u << 10});
+    body(fs);
+  }
+}
+
 // --- strong semantics -------------------------------------------------
 
 TEST(Strong, RemoteWriteVisibleImmediately) {
-  Pfs fs(with_model(ConsistencyModel::Strong));
-  const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  const int rd = fs.open(1, "f", kRdWr, 10).fd;
-  const auto wr = fs.pwrite(0, w, 0, 100, 20);
-  const auto res = fs.pread(1, rd, 0, 100, 30);
-  EXPECT_EQ(tag_at(res.extents, 0), wr.version);
+  on_each_backend(with_model(ConsistencyModel::Strong), [&](auto& fs) {
+    const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    const int rd = fs.open(1, "f", kRdWr, 10).fd;
+    const auto wr = fs.pwrite(0, w, 0, 100, 20);
+    const auto res = fs.pread(1, rd, 0, 100, 30);
+    EXPECT_EQ(tag_at(res.extents, 0), wr.version);
+  });
 }
 
 TEST(Strong, LastWriterWinsByTime) {
-  Pfs fs(with_model(ConsistencyModel::Strong));
-  const int w0 = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  const int w1 = fs.open(1, "f", kRdWr, 0).fd;
-  (void)fs.pwrite(0, w0, 0, 100, 10);
-  const auto second = fs.pwrite(1, w1, 50, 100, 20);
-  const int rd = fs.open(2, "f", kRdOnly, 30).fd;
-  const auto res = fs.pread(2, rd, 0, 150, 40);
-  EXPECT_EQ(tag_at(res.extents, 60), second.version);
-  EXPECT_EQ(tag_at(res.extents, 149), second.version);
-  EXPECT_NE(tag_at(res.extents, 10), second.version);
+  on_each_backend(with_model(ConsistencyModel::Strong), [&](auto& fs) {
+    const int w0 = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    const int w1 = fs.open(1, "f", kRdWr, 0).fd;
+    (void)fs.pwrite(0, w0, 0, 100, 10);
+    const auto second = fs.pwrite(1, w1, 50, 100, 20);
+    const int rd = fs.open(2, "f", kRdOnly, 30).fd;
+    const auto res = fs.pread(2, rd, 0, 150, 40);
+    EXPECT_EQ(tag_at(res.extents, 60), second.version);
+    EXPECT_EQ(tag_at(res.extents, 149), second.version);
+    EXPECT_NE(tag_at(res.extents, 10), second.version);
+  });
 }
 
 // --- commit semantics -------------------------------------------------
 
 TEST(Commit, RemoteWriteInvisibleUntilFsync) {
-  Pfs fs(with_model(ConsistencyModel::Commit));
-  const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  const int rd = fs.open(1, "f", kRdWr, 0).fd;
-  const auto wr = fs.pwrite(0, w, 0, 100, 10);
-  EXPECT_EQ(tag_at(fs.pread(1, rd, 0, 100, 20).extents, 0), 0u)
-      << "uncommitted remote write must read as hole";
-  fs.fsync(0, w, 30);
-  EXPECT_EQ(tag_at(fs.pread(1, rd, 0, 100, 40).extents, 0), wr.version)
-      << "committed write must be globally visible";
+  on_each_backend(with_model(ConsistencyModel::Commit), [&](auto& fs) {
+    const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    const int rd = fs.open(1, "f", kRdWr, 0).fd;
+    const auto wr = fs.pwrite(0, w, 0, 100, 10);
+    EXPECT_EQ(tag_at(fs.pread(1, rd, 0, 100, 20).extents, 0), 0u)
+        << "uncommitted remote write must read as hole";
+    fs.fsync(0, w, 30);
+    EXPECT_EQ(tag_at(fs.pread(1, rd, 0, 100, 40).extents, 0), wr.version)
+        << "committed write must be globally visible";
+  });
 }
 
 TEST(Commit, OwnWritesAlwaysVisible) {
-  Pfs fs(with_model(ConsistencyModel::Commit));
-  const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  const auto wr = fs.pwrite(0, w, 0, 64, 10);
-  EXPECT_EQ(tag_at(fs.pread(0, w, 0, 64, 20).extents, 5), wr.version);
+  on_each_backend(with_model(ConsistencyModel::Commit), [&](auto& fs) {
+    const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    const auto wr = fs.pwrite(0, w, 0, 64, 10);
+    EXPECT_EQ(tag_at(fs.pread(0, w, 0, 64, 20).extents, 5), wr.version);
+  });
 }
 
 TEST(Commit, CloseActsAsCommit) {
-  Pfs fs(with_model(ConsistencyModel::Commit));
-  const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  const auto wr = fs.pwrite(0, w, 0, 64, 10);
-  fs.close(0, w, 20);
-  const int rd = fs.open(1, "f", kRdOnly, 30).fd;
-  EXPECT_EQ(tag_at(fs.pread(1, rd, 0, 64, 40).extents, 0), wr.version);
+  on_each_backend(with_model(ConsistencyModel::Commit), [&](auto& fs) {
+    const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    const auto wr = fs.pwrite(0, w, 0, 64, 10);
+    fs.close(0, w, 20);
+    const int rd = fs.open(1, "f", kRdOnly, 30).fd;
+    EXPECT_EQ(tag_at(fs.pread(1, rd, 0, 64, 40).extents, 0), wr.version);
+  });
 }
 
 TEST(Commit, CommitOrderBeatsWriteOrder) {
   // w1 written before w2, but w2 commits first: after both commits the
   // later commit wins on overlapping bytes (visibility-time ordering).
-  Pfs fs(with_model(ConsistencyModel::Commit));
-  const int a = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  const int b = fs.open(1, "f", kRdWr, 0).fd;
-  const auto w1 = fs.pwrite(0, a, 0, 100, 10);
-  (void)fs.pwrite(1, b, 0, 100, 20);
-  fs.fsync(1, b, 30);  // w2 commits at 30
-  fs.fsync(0, a, 40);  // w1 commits at 40
-  const int rd = fs.open(2, "f", kRdOnly, 50).fd;
-  EXPECT_EQ(tag_at(fs.pread(2, rd, 0, 100, 60).extents, 0), w1.version);
+  on_each_backend(with_model(ConsistencyModel::Commit), [&](auto& fs) {
+    const int a = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    const int b = fs.open(1, "f", kRdWr, 0).fd;
+    const auto w1 = fs.pwrite(0, a, 0, 100, 10);
+    (void)fs.pwrite(1, b, 0, 100, 20);
+    fs.fsync(1, b, 30);  // w2 commits at 30
+    fs.fsync(0, a, 40);  // w1 commits at 40
+    const int rd = fs.open(2, "f", kRdOnly, 50).fd;
+    EXPECT_EQ(tag_at(fs.pread(2, rd, 0, 100, 60).extents, 0), w1.version);
+  });
 }
 
 // --- session semantics -------------------------------------------------
 
 TEST(Session, VisibleOnlyAfterCloseThenOpen) {
-  Pfs fs(with_model(ConsistencyModel::Session));
-  const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  const auto wr = fs.pwrite(0, w, 0, 100, 10);
+  on_each_backend(with_model(ConsistencyModel::Session), [&](auto& fs) {
+    const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    const auto wr = fs.pwrite(0, w, 0, 100, 10);
 
-  // Reader whose session began before the writer closed: stale.
-  const int early = fs.open(1, "f", kRdOnly, 5).fd;
-  EXPECT_EQ(tag_at(fs.pread(1, early, 0, 100, 20).extents, 0), 0u);
+    // Reader whose session began before the writer closed: stale.
+    const int early = fs.open(1, "f", kRdOnly, 5).fd;
+    EXPECT_EQ(tag_at(fs.pread(1, early, 0, 100, 20).extents, 0), 0u);
 
-  fs.close(0, w, 30);
+    fs.close(0, w, 30);
 
-  // Same old session: still stale even after the close.
-  EXPECT_EQ(tag_at(fs.pread(1, early, 0, 100, 40).extents, 0), 0u);
+    // Same old session: still stale even after the close.
+    EXPECT_EQ(tag_at(fs.pread(1, early, 0, 100, 40).extents, 0), 0u);
 
-  // Fresh session opened after the close: sees the write.
-  const int fresh = fs.open(1, "f", kRdOnly, 50).fd;
-  EXPECT_EQ(tag_at(fs.pread(1, fresh, 0, 100, 60).extents, 0), wr.version);
+    // Fresh session opened after the close: sees the write.
+    const int fresh = fs.open(1, "f", kRdOnly, 50).fd;
+    EXPECT_EQ(tag_at(fs.pread(1, fresh, 0, 100, 60).extents, 0), wr.version);
+  });
 }
 
 TEST(Session, FsyncAloneDoesNotPublish) {
-  Pfs fs(with_model(ConsistencyModel::Session));
-  const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  (void)fs.pwrite(0, w, 0, 100, 10);
-  fs.fsync(0, w, 20);
-  const int rd = fs.open(1, "f", kRdOnly, 30).fd;
-  EXPECT_EQ(tag_at(fs.pread(1, rd, 0, 100, 40).extents, 0), 0u)
-      << "session semantics needs close->open, not just fsync";
+  on_each_backend(with_model(ConsistencyModel::Session), [&](auto& fs) {
+    const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    (void)fs.pwrite(0, w, 0, 100, 10);
+    fs.fsync(0, w, 20);
+    const int rd = fs.open(1, "f", kRdOnly, 30).fd;
+    EXPECT_EQ(tag_at(fs.pread(1, rd, 0, 100, 40).extents, 0), 0u)
+        << "session semantics needs close->open, not just fsync";
+  });
 }
 
 TEST(Session, OwnWritesVisibleWithinSession) {
-  Pfs fs(with_model(ConsistencyModel::Session));
-  const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  const auto wr = fs.pwrite(0, w, 0, 100, 10);
-  EXPECT_EQ(tag_at(fs.pread(0, w, 0, 100, 20).extents, 50), wr.version);
+  on_each_backend(with_model(ConsistencyModel::Session), [&](auto& fs) {
+    const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    const auto wr = fs.pwrite(0, w, 0, 100, 10);
+    EXPECT_EQ(tag_at(fs.pread(0, w, 0, 100, 20).extents, 50), wr.version);
+  });
 }
 
 // --- eventual semantics -------------------------------------------------
@@ -144,91 +176,100 @@ TEST(Eventual, WriteVisibleAfterPropagationDelay) {
   PfsConfig cfg;
   cfg.model = ConsistencyModel::Eventual;
   cfg.eventual_propagation = 1000;
-  Pfs fs(cfg);
-  const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  const int rd = fs.open(1, "f", kRdWr, 0).fd;
-  const auto wr = fs.pwrite(0, w, 0, 100, 10);
-  EXPECT_EQ(tag_at(fs.pread(1, rd, 0, 100, 500).extents, 0), 0u);
-  EXPECT_EQ(tag_at(fs.pread(1, rd, 0, 100, 1500).extents, 0), wr.version);
+  on_each_backend(cfg, [&](auto& fs) {
+    const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    const int rd = fs.open(1, "f", kRdWr, 0).fd;
+    const auto wr = fs.pwrite(0, w, 0, 100, 10);
+    EXPECT_EQ(tag_at(fs.pread(1, rd, 0, 100, 500).extents, 0), 0u);
+    EXPECT_EQ(tag_at(fs.pread(1, rd, 0, 100, 1500).extents, 0), wr.version);
+  });
 }
 
 // --- mechanics shared across models -------------------------------------
 
 TEST(Mechanics, OffsetAdvanceAndAppend) {
-  Pfs fs(with_model(ConsistencyModel::Strong));
-  const int fd = fs.open(0, "f", kCreate | kWrOnly, 0).fd;
-  EXPECT_EQ(fs.write(0, fd, 100, 10).offset, 0u);
-  EXPECT_EQ(fs.write(0, fd, 50, 20).offset, 100u);
-  const int ap = fs.open(1, "f", kWrOnly | kAppend, 30).fd;
-  EXPECT_EQ(fs.write(1, ap, 10, 40).offset, 150u) << "O_APPEND lands at EOF";
-  EXPECT_EQ(fs.file_size("f"), 160u);
+  on_each_backend(with_model(ConsistencyModel::Strong), [&](auto& fs) {
+    const int fd = fs.open(0, "f", kCreate | kWrOnly, 0).fd;
+    EXPECT_EQ(fs.write(0, fd, 100, 10).offset, 0u);
+    EXPECT_EQ(fs.write(0, fd, 50, 20).offset, 100u);
+    const int ap = fs.open(1, "f", kWrOnly | kAppend, 30).fd;
+    EXPECT_EQ(fs.write(1, ap, 10, 40).offset, 150u) << "O_APPEND lands at EOF";
+    EXPECT_EQ(fs.file_size("f"), 160u);
+  });
 }
 
 TEST(Mechanics, LseekWhence) {
-  Pfs fs(with_model(ConsistencyModel::Strong));
-  const int fd = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  (void)fs.write(0, fd, 100, 10);
-  EXPECT_EQ(fs.lseek(0, fd, 10, trace::kSeekSet, 20).ret, 10);
-  EXPECT_EQ(fs.lseek(0, fd, 5, trace::kSeekCur, 30).ret, 15);
-  EXPECT_EQ(fs.lseek(0, fd, -20, trace::kSeekEnd, 40).ret, 80);
-  EXPECT_EQ(fs.lseek(0, fd, -200, trace::kSeekSet, 50).ret, -1);
+  on_each_backend(with_model(ConsistencyModel::Strong), [&](auto& fs) {
+    const int fd = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    (void)fs.write(0, fd, 100, 10);
+    EXPECT_EQ(fs.lseek(0, fd, 10, trace::kSeekSet, 20).ret, 10);
+    EXPECT_EQ(fs.lseek(0, fd, 5, trace::kSeekCur, 30).ret, 15);
+    EXPECT_EQ(fs.lseek(0, fd, -20, trace::kSeekEnd, 40).ret, 80);
+    EXPECT_EQ(fs.lseek(0, fd, -200, trace::kSeekSet, 50).ret, -1);
+  });
 }
 
 TEST(Mechanics, ReadClippedAtEof) {
-  Pfs fs(with_model(ConsistencyModel::Strong));
-  const int fd = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  (void)fs.pwrite(0, fd, 0, 100, 10);
-  EXPECT_EQ(fs.pread(0, fd, 50, 500, 20).bytes, 50u);
-  EXPECT_EQ(fs.pread(0, fd, 200, 10, 30).bytes, 0u);
+  on_each_backend(with_model(ConsistencyModel::Strong), [&](auto& fs) {
+    const int fd = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    (void)fs.pwrite(0, fd, 0, 100, 10);
+    EXPECT_EQ(fs.pread(0, fd, 50, 500, 20).bytes, 50u);
+    EXPECT_EQ(fs.pread(0, fd, 200, 10, 30).bytes, 0u);
+  });
 }
 
 TEST(Mechanics, TruncateClearsTail) {
-  Pfs fs(with_model(ConsistencyModel::Strong));
-  const int fd = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  const auto wr = fs.pwrite(0, fd, 0, 100, 10);
-  fs.ftruncate(0, fd, 40, 20);
-  EXPECT_EQ(fs.file_size("f"), 40u);
-  fs.ftruncate(0, fd, 100, 30);
-  const auto res = fs.pread(0, fd, 0, 100, 40);
-  EXPECT_EQ(tag_at(res.extents, 10), wr.version);
-  EXPECT_EQ(tag_at(res.extents, 60), 0u) << "re-grown region reads as hole";
+  on_each_backend(with_model(ConsistencyModel::Strong), [&](auto& fs) {
+    const int fd = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    const auto wr = fs.pwrite(0, fd, 0, 100, 10);
+    fs.ftruncate(0, fd, 40, 20);
+    EXPECT_EQ(fs.file_size("f"), 40u);
+    fs.ftruncate(0, fd, 100, 30);
+    const auto res = fs.pread(0, fd, 0, 100, 40);
+    EXPECT_EQ(tag_at(res.extents, 10), wr.version);
+    EXPECT_EQ(tag_at(res.extents, 60), 0u) << "re-grown region reads as hole";
+  });
 }
 
 TEST(Mechanics, OpenTruncDiscardsContent) {
-  Pfs fs(with_model(ConsistencyModel::Strong));
-  const int fd = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  (void)fs.pwrite(0, fd, 0, 100, 10);
-  fs.close(0, fd, 20);
-  const int t = fs.open(1, "f", kRdWr | kTrunc, 30).fd;
-  EXPECT_EQ(fs.file_size("f"), 0u);
-  EXPECT_EQ(fs.pread(1, t, 0, 100, 40).bytes, 0u);
+  on_each_backend(with_model(ConsistencyModel::Strong), [&](auto& fs) {
+    const int fd = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    (void)fs.pwrite(0, fd, 0, 100, 10);
+    fs.close(0, fd, 20);
+    const int t = fs.open(1, "f", kRdWr | kTrunc, 30).fd;
+    EXPECT_EQ(fs.file_size("f"), 0u);
+    EXPECT_EQ(fs.pread(1, t, 0, 100, 40).bytes, 0u);
+  });
 }
 
 TEST(Mechanics, NamespaceOps) {
-  Pfs fs(with_model(ConsistencyModel::Strong));
-  EXPECT_EQ(fs.stat("missing", 0).ret, -1);
-  EXPECT_EQ(fs.mkdir("dir", 0).ret, 0);
-  EXPECT_EQ(fs.mkdir("dir", 0).ret, -1);
-  const int fd = fs.open(0, "a", kCreate | kWrOnly, 0).fd;
-  (void)fs.write(0, fd, 77, 10);
-  fs.close(0, fd, 20);
-  EXPECT_EQ(fs.stat("a", 30).ret, 77);
-  EXPECT_EQ(fs.rename("a", "b", 40).ret, 0);
-  EXPECT_FALSE(fs.exists("a"));
-  EXPECT_EQ(fs.stat("b", 50).ret, 77);
-  EXPECT_EQ(fs.unlink("b", 60).ret, 0);
-  EXPECT_EQ(fs.unlink("b", 70).ret, -1);
+  on_each_backend(with_model(ConsistencyModel::Strong), [&](auto& fs) {
+    EXPECT_EQ(fs.stat("missing", 0).ret, -1);
+    EXPECT_EQ(fs.mkdir("dir", 0).ret, 0);
+    EXPECT_EQ(fs.mkdir("dir", 0).ret, -1);
+    const int fd = fs.open(0, "a", kCreate | kWrOnly, 0).fd;
+    (void)fs.write(0, fd, 77, 10);
+    fs.close(0, fd, 20);
+    EXPECT_EQ(fs.stat("a", 30).ret, 77);
+    EXPECT_EQ(fs.rename("a", "b", 40).ret, 0);
+    EXPECT_FALSE(fs.exists("a"));
+    EXPECT_EQ(fs.stat("b", 50).ret, 77);
+    EXPECT_EQ(fs.unlink("b", 60).ret, 0);
+    EXPECT_EQ(fs.unlink("b", 70).ret, -1);
+  });
 }
 
 TEST(Mechanics, BadFdThrows) {
-  Pfs fs(with_model(ConsistencyModel::Strong));
-  EXPECT_THROW(fs.write(0, 99, 10, 0), Error);
-  EXPECT_THROW(fs.close(0, 99, 0), Error);
+  on_each_backend(with_model(ConsistencyModel::Strong), [&](auto& fs) {
+    EXPECT_THROW(fs.write(0, 99, 10, 0), Error);
+    EXPECT_THROW(fs.close(0, 99, 0), Error);
+  });
 }
 
 TEST(Mechanics, OpenMissingWithoutCreateFails) {
-  Pfs fs(with_model(ConsistencyModel::Strong));
-  EXPECT_EQ(fs.open(0, "nope", kRdOnly, 0).fd, -1);
+  on_each_backend(with_model(ConsistencyModel::Strong), [&](auto& fs) {
+    EXPECT_EQ(fs.open(0, "nope", kRdOnly, 0).fd, -1);
+  });
 }
 
 // --- preload (genesis data) ---------------------------------------------
@@ -237,12 +278,13 @@ TEST(Preload, VisibleUnderEveryModel) {
   for (auto m : {ConsistencyModel::Strong, ConsistencyModel::Commit,
                  ConsistencyModel::Session, ConsistencyModel::Eventual}) {
     SCOPED_TRACE(to_string(m));
-    Pfs fs(with_model(m));
-    fs.preload("input.dat", 1000);
-    const int fd = fs.open(3, "input.dat", kRdOnly, 0).fd;
-    const auto res = fs.pread(3, fd, 0, 1000, 1);
-    EXPECT_EQ(res.bytes, 1000u);
-    EXPECT_NE(tag_at(res.extents, 999), 0u);
+    on_each_backend(with_model(m), [&](auto& fs) {
+      fs.preload("input.dat", 1000);
+      const int fd = fs.open(3, "input.dat", kRdOnly, 0).fd;
+      const auto res = fs.pread(3, fd, 0, 1000, 1);
+      EXPECT_EQ(res.bytes, 1000u);
+      EXPECT_NE(tag_at(res.extents, 999), 0u);
+    });
   }
 }
 
@@ -252,56 +294,60 @@ TEST(Locks, StrongModelCountsConflictTraffic) {
   PfsConfig cfg;
   cfg.model = ConsistencyModel::Strong;
   cfg.lock_block = 1024;
-  Pfs fs(cfg);
-  const int a = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  const int b = fs.open(1, "f", kRdWr, 0).fd;
-  (void)fs.pwrite(0, a, 0, 1024, 10);  // rank 0 takes block 0 exclusive
-  const auto before = fs.lock_stats();
-  EXPECT_GE(before.requests, 1u);
-  (void)fs.pwrite(1, b, 0, 1024, 20);  // rank 1 must revoke rank 0
-  const auto after = fs.lock_stats();
-  EXPECT_GT(after.requests, before.requests);
-  EXPECT_GT(after.revocations, before.revocations);
+  on_each_backend(cfg, [&](auto& fs) {
+    const int a = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    const int b = fs.open(1, "f", kRdWr, 0).fd;
+    (void)fs.pwrite(0, a, 0, 1024, 10);  // rank 0 takes block 0 exclusive
+    const auto before = fs.lock_stats();
+    EXPECT_GE(before.requests, 1u);
+    (void)fs.pwrite(1, b, 0, 1024, 20);  // rank 1 must revoke rank 0
+    const auto after = fs.lock_stats();
+    EXPECT_GT(after.requests, before.requests);
+    EXPECT_GT(after.revocations, before.revocations);
+  });
 }
 
 TEST(Locks, RepeatedAccessReusesLock) {
   PfsConfig cfg;
   cfg.model = ConsistencyModel::Strong;
   cfg.lock_block = 1024;
-  Pfs fs(cfg);
-  const int a = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  (void)fs.pwrite(0, a, 0, 512, 10);
-  const auto first = fs.lock_stats().requests;
-  (void)fs.pwrite(0, a, 512, 512, 20);  // same block, lock already held
-  EXPECT_EQ(fs.lock_stats().requests, first);
+  on_each_backend(cfg, [&](auto& fs) {
+    const int a = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    (void)fs.pwrite(0, a, 0, 512, 10);
+    const auto first = fs.lock_stats().requests;
+    (void)fs.pwrite(0, a, 512, 512, 20);  // same block, lock already held
+    EXPECT_EQ(fs.lock_stats().requests, first);
+  });
 }
 
 TEST(Locks, RelaxedModelsChargeNoLockTraffic) {
   for (auto m : {ConsistencyModel::Commit, ConsistencyModel::Session,
                  ConsistencyModel::Eventual}) {
     SCOPED_TRACE(to_string(m));
-    Pfs fs(with_model(m));
-    const int a = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-    const int b = fs.open(1, "f", kRdWr, 0).fd;
-    (void)fs.pwrite(0, a, 0, 4096, 10);
-    (void)fs.pwrite(1, b, 0, 4096, 20);
-    EXPECT_EQ(fs.lock_stats().requests, 0u);
-    EXPECT_EQ(fs.lock_stats().revocations, 0u);
+    on_each_backend(with_model(m), [&](auto& fs) {
+      const int a = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+      const int b = fs.open(1, "f", kRdWr, 0).fd;
+      (void)fs.pwrite(0, a, 0, 4096, 10);
+      (void)fs.pwrite(1, b, 0, 4096, 20);
+      EXPECT_EQ(fs.lock_stats().requests, 0u);
+      EXPECT_EQ(fs.lock_stats().revocations, 0u);
+    });
   }
 }
 
 // --- strong-view oracle ---------------------------------------------------
 
 TEST(Oracle, StrongViewMatchesWriteOrder) {
-  Pfs fs(with_model(ConsistencyModel::Session));
-  const int a = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  const int b = fs.open(1, "f", kRdWr, 0).fd;
-  const auto w1 = fs.pwrite(0, a, 0, 100, 10);
-  const auto w2 = fs.pwrite(1, b, 50, 100, 20);
-  const auto view = fs.strong_view("f", 0, 150);
-  EXPECT_EQ(tag_at(view, 10), w1.version);
-  EXPECT_EQ(tag_at(view, 75), w2.version);
-  EXPECT_EQ(tag_at(view, 149), w2.version);
+  on_each_backend(with_model(ConsistencyModel::Session), [&](auto& fs) {
+    const int a = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    const int b = fs.open(1, "f", kRdWr, 0).fd;
+    const auto w1 = fs.pwrite(0, a, 0, 100, 10);
+    const auto w2 = fs.pwrite(1, b, 50, 100, 20);
+    const auto view = fs.strong_view("f", 0, 150);
+    EXPECT_EQ(tag_at(view, 10), w1.version);
+    EXPECT_EQ(tag_at(view, 75), w2.version);
+    EXPECT_EQ(tag_at(view, 149), w2.version);
+  });
 }
 
 
@@ -313,32 +359,35 @@ TEST(Laminate, PublishesUnderEveryModel) {
     SCOPED_TRACE(to_string(m));
     PfsConfig cfg = with_model(m);
     cfg.eventual_propagation = 1'000'000'000;
-    Pfs fs(cfg);
-    const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-    const auto wr = fs.pwrite(0, w, 0, 100, 10);
-    const int rd = fs.open(1, "f", kRdWr, 20).fd;
-    EXPECT_EQ(tag_at(fs.pread(1, rd, 0, 100, 30).extents, 0), 0u)
-        << "not yet visible before lamination";
-    EXPECT_EQ(fs.laminate("f", 40).ret, 0);
-    // Session model still gates on the reader session: reopen.
-    const int rd2 = fs.open(1, "f", kRdOnly, 50).fd;
-    EXPECT_EQ(tag_at(fs.pread(1, rd2, 0, 100, 60).extents, 0), wr.version);
+    on_each_backend(cfg, [&](auto& fs) {
+      const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+      const auto wr = fs.pwrite(0, w, 0, 100, 10);
+      const int rd = fs.open(1, "f", kRdWr, 20).fd;
+      EXPECT_EQ(tag_at(fs.pread(1, rd, 0, 100, 30).extents, 0), 0u)
+          << "not yet visible before lamination";
+      EXPECT_EQ(fs.laminate("f", 40).ret, 0);
+      // Session model still gates on the reader session: reopen.
+      const int rd2 = fs.open(1, "f", kRdOnly, 50).fd;
+      EXPECT_EQ(tag_at(fs.pread(1, rd2, 0, 100, 60).extents, 0), wr.version);
+    });
   }
 }
 
 TEST(Laminate, FileBecomesReadOnly) {
-  Pfs fs(with_model(ConsistencyModel::Commit));
-  const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  (void)fs.pwrite(0, w, 0, 100, 10);
-  fs.laminate("f", 20);
-  const auto res = fs.pwrite(0, w, 0, 100, 30);
-  EXPECT_EQ(res.version, 0u) << "writes to a laminated file must fail";
-  EXPECT_EQ(fs.file_size("f"), 100u);
+  on_each_backend(with_model(ConsistencyModel::Commit), [&](auto& fs) {
+    const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    (void)fs.pwrite(0, w, 0, 100, 10);
+    fs.laminate("f", 20);
+    const auto res = fs.pwrite(0, w, 0, 100, 30);
+    EXPECT_EQ(res.version, 0u) << "writes to a laminated file must fail";
+    EXPECT_EQ(fs.file_size("f"), 100u);
+  });
 }
 
 TEST(Laminate, MissingFileFails) {
-  Pfs fs(with_model(ConsistencyModel::Commit));
-  EXPECT_EQ(fs.laminate("nope", 0).ret, -1);
+  on_each_backend(with_model(ConsistencyModel::Commit), [&](auto& fs) {
+    EXPECT_EQ(fs.laminate("nope", 0).ret, -1);
+  });
 }
 
 TEST(Laminate, LaminatedWritesSurviveCrashUnderEveryModel) {
@@ -347,26 +396,57 @@ TEST(Laminate, LaminatedWritesSurviveCrashUnderEveryModel) {
     SCOPED_TRACE(to_string(m));
     PfsConfig cfg = with_model(m);
     cfg.eventual_propagation = 1'000'000'000;  // nothing propagates by t=50
-    Pfs fs(cfg);
-    const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-    const auto wr = fs.pwrite(0, w, 0, 100, 10);
-    // No fsync, no close: only the lamination makes this durable.
-    EXPECT_EQ(fs.laminate("f", 20).ret, 0);
-    const auto lost = fs.crash_rank(0, 50);
-    EXPECT_TRUE(lost.empty()) << "laminated data must survive a crash";
-    EXPECT_EQ(tag_at(fs.strong_view("f", 0, 100), 0), wr.version);
-    EXPECT_EQ(fs.file_size("f"), 100u);
+    on_each_backend(cfg, [&](auto& fs) {
+      const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+      const auto wr = fs.pwrite(0, w, 0, 100, 10);
+      // No fsync, no close: only the lamination makes this durable.
+      EXPECT_EQ(fs.laminate("f", 20).ret, 0);
+      const auto lost = fs.crash_rank(0, 50);
+      EXPECT_TRUE(lost.empty()) << "laminated data must survive a crash";
+      EXPECT_EQ(tag_at(fs.strong_view("f", 0, 100), 0), wr.version);
+      EXPECT_EQ(fs.file_size("f"), 100u);
+    });
   }
 }
 
 TEST(Laminate, UnlaminatedControlLosesTheWriteUnderCommit) {
-  Pfs fs(with_model(ConsistencyModel::Commit));
-  const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
-  const auto wr = fs.pwrite(0, w, 0, 100, 10);
-  const auto lost = fs.crash_rank(0, 50);
-  EXPECT_EQ(lost, std::vector<VersionTag>{wr.version});
-  EXPECT_EQ(tag_at(fs.strong_view("f", 0, 100), 0), 0u);
-  EXPECT_EQ(fs.file_size("f"), 0u);
+  on_each_backend(with_model(ConsistencyModel::Commit), [&](auto& fs) {
+    const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    const auto wr = fs.pwrite(0, w, 0, 100, 10);
+    const auto lost = fs.crash_rank(0, 50);
+    EXPECT_EQ(lost, std::vector<VersionTag>{wr.version});
+    EXPECT_EQ(tag_at(fs.strong_view("f", 0, 100), 0), 0u);
+    EXPECT_EQ(fs.file_size("f"), 0u);
+  });
+}
+
+TEST(Laminate, FtruncateFailsWithErofs) {
+  on_each_backend(with_model(ConsistencyModel::Commit), [&](auto& fs) {
+    const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    const auto wr = fs.pwrite(0, w, 0, 100, 10);
+    ASSERT_EQ(fs.laminate("f", 20).ret, 0);
+    const auto res = fs.ftruncate(0, w, 10, 30);
+    EXPECT_EQ(res.ret, -1);
+    EXPECT_EQ(res.err, fault::kErofs) << "a laminated file is read-only";
+    EXPECT_EQ(fs.file_size("f"), 100u);
+    EXPECT_EQ(tag_at(fs.strong_view("f", 0, 100), 99), wr.version);
+  });
+}
+
+TEST(Laminate, OpenTruncFailsWithErofs) {
+  on_each_backend(with_model(ConsistencyModel::Commit), [&](auto& fs) {
+    const int w = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    const auto wr = fs.pwrite(0, w, 0, 100, 10);
+    ASSERT_EQ(fs.laminate("f", 20).ret, 0);
+    const auto res = fs.open(1, "f", kRdWr | kTrunc, 30);
+    EXPECT_EQ(res.fd, -1);
+    EXPECT_EQ(res.err, fault::kErofs) << "O_TRUNC must not wipe a laminated file";
+    EXPECT_EQ(fs.file_size("f"), 100u);
+    EXPECT_EQ(tag_at(fs.strong_view("f", 0, 100), 0), wr.version);
+    // Reading stays allowed.
+    const int rd = fs.open(1, "f", kRdOnly, 40).fd;
+    EXPECT_EQ(tag_at(fs.pread(1, rd, 0, 100, 50).extents, 99), wr.version);
+  });
 }
 
 
