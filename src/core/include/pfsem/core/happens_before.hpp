@@ -16,7 +16,17 @@
 // must precede an operation at t2 on r2: there must be a release event on
 // r1 at/after t1 whose knowledge reaches r2 by an acquire completing
 // at/before t2.
+//
+// Clocks are interned. A rank's clock is a shared nranks-wide row plus
+// its own sequence number, which overrides the row's own-rank entry. A
+// new row is made only when knowledge moves between ranks: one per
+// rootless collective (shared by every participant), one per Reduce/
+// Gather (the root's), one per distinct leaf row of a Bcast/Scatter, and
+// one per p2p message (the receiver's). Memory is O((1 + collectives +
+// p2p) x nranks) instead of a dense clock per node.
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "pfsem/core/conflict.hpp"
@@ -26,6 +36,10 @@ namespace pfsem::core {
 
 class HappensBefore {
  public:
+  /// Throws pfsem::Error naming the offending event if `comm` holds a
+  /// rank outside [0, nranks), a bad collective kind, a rooted collective
+  /// with an out-of-range root, or a rank arriving twice at one
+  /// collective (a corrupt trace file).
   HappensBefore(const trace::CommLog& comm, int nranks);
 
   /// True if (r1, t1) happens-before (r2, t2) under the reconstructed
@@ -34,19 +48,28 @@ class HappensBefore {
 
   [[nodiscard]] int nranks() const { return nranks_; }
 
+  /// Interned clock rows, the initial all-zero row included; each is
+  /// nranks x 4 B. The count is at most 1 + collectives + p2p when every
+  /// Bcast/Scatter finds its leaves on one shared row; each further
+  /// distinct leaf row adds one.
+  [[nodiscard]] std::size_t clock_count() const { return clock_count_; }
+
  private:
-  using Clock = std::vector<std::uint32_t>;
+  using ClockId = std::uint32_t;
 
   struct Node {
-    Rank rank;
-    SimTime t_enter;  ///< release point (knowledge leaves at/after this)
-    SimTime t_exit;   ///< acquire point (knowledge arrives by this)
+    SimTime t_enter;    ///< release point (knowledge leaves at/after this)
+    SimTime t_exit;     ///< acquire point (knowledge arrives by this)
     std::uint32_t seq;  ///< index of this node within its rank's timeline
-    Clock clock;        ///< knowledge after this node completes
+    ClockId clock;      ///< row holding the knowledge after this node,
+                        ///< exact except for the node's own-rank entry
   };
 
   /// Per-rank timelines of nodes, each sorted by time.
   std::vector<std::vector<Node>> timeline_;
+  /// clock_count_ rows of nranks_ entries each, row-major.
+  std::vector<std::uint32_t> rows_;
+  std::size_t clock_count_ = 0;
   int nranks_;
 };
 

@@ -8,6 +8,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace pfsem {
 
@@ -16,14 +17,26 @@ class Error : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Throw pfsem::Error carrying `msg`, prefixed with the caller's file:line.
+[[noreturn]] inline void fail(
+    std::string_view msg,
+    std::source_location loc = std::source_location::current()) {
+  throw Error(std::string(loc.file_name()) + ":" + std::to_string(loc.line()) +
+              ": " + std::string(msg));
+}
+
 /// Throw pfsem::Error if `cond` is false. Used for API-contract checks that
-/// must hold in release builds too (unlike assert).
+/// must hold in release builds too (unlike assert). A literal message binds
+/// to this overload and is only turned into a string when the check fails,
+/// so hot-path checks cost one branch.
+inline void require(bool cond, const char* msg,
+                    std::source_location loc = std::source_location::current()) {
+  if (!cond) fail(msg, loc);
+}
+
 inline void require(bool cond, const std::string& msg,
                     std::source_location loc = std::source_location::current()) {
-  if (!cond) {
-    throw Error(std::string(loc.file_name()) + ":" + std::to_string(loc.line()) +
-                ": " + msg);
-  }
+  if (!cond) fail(msg, loc);
 }
 
 }  // namespace pfsem
