@@ -85,14 +85,14 @@ vfs::PfsCluster& Harness::cluster() {
   return *concrete_cluster_;
 }
 
-sim::Task<void> Harness::compute(Rank r, SimDuration base) {
+sim::Engine::Delay Harness::compute(Rank r, SimDuration base) {
   // Operation-boundary crash check: a crashed rank never starts another
   // time step (iolib and mpi enforce the same at their entry points).
   if (injector_ != nullptr && injector_->crashed(r)) throw sim::TaskKilled(r);
   auto& rng = rank_rngs_[static_cast<std::size_t>(r)];
   const auto jitter =
       static_cast<SimDuration>(rng.below(static_cast<std::uint64_t>(base / 4 + 1)));
-  co_await engine_.delay(base + jitter);
+  return engine_.delay(base + jitter);
 }
 
 void Harness::set_faults(const fault::FaultPlan& plan,

@@ -129,8 +129,9 @@ class Harness {
   }
 
   /// A compute phase: `base` plus a small deterministic per-rank jitter,
-  /// so ranks drift apart the way real time steps do.
-  [[nodiscard]] sim::Task<void> compute(Rank r, SimDuration base);
+  /// so ranks drift apart the way real time steps do. The crash check and
+  /// the jitter draw run at the call; await the result at once.
+  [[nodiscard]] sim::Engine::Delay compute(Rank r, SimDuration base);
 
   /// Deterministic per-rank value in [lo, hi] for workload shaping
   /// (irregular block sizes etc.); depends only on (seed, salt, r).

@@ -14,6 +14,7 @@
 // to validate that conflicting I/O is synchronized, as in Section 5.2 of
 // the paper.
 
+#include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -85,34 +86,47 @@ class World {
   // Each must be called exactly once per participating rank, in the same
   // order on every rank (normal SPMD discipline); a kind/root mismatch
   // between ranks joining the same collective throws.
-  [[nodiscard]] sim::Task<void> barrier(Rank me);
-  [[nodiscard]] sim::Task<void> barrier(Rank me, const Group& group);
-  [[nodiscard]] sim::Task<void> bcast(Rank me, Rank root, std::uint64_t bytes);
-  [[nodiscard]] sim::Task<void> reduce(Rank me, Rank root, std::uint64_t bytes);
-  [[nodiscard]] sim::Task<void> allreduce(Rank me, std::uint64_t bytes);
-  [[nodiscard]] sim::Task<void> gather(Rank me, Rank root, std::uint64_t bytes_each);
-  [[nodiscard]] sim::Task<void> gather(Rank me, Rank root, std::uint64_t bytes_each,
-                                       const Group& group);
-  [[nodiscard]] sim::Task<void> allgather(Rank me, std::uint64_t bytes_each);
-  [[nodiscard]] sim::Task<void> scatter(Rank me, Rank root, std::uint64_t bytes_each);
-  [[nodiscard]] sim::Task<void> alltoall(Rank me, std::uint64_t bytes_each);
+  //
+  // A collective joins at the call, not at the co_await: the crash check,
+  // the join and (for the last arrival) the completion all run before the
+  // returned awaiter exists. Awaiting it then suspends the rank until its
+  // exit time. The awaiter is [[nodiscard]] because dropping it is a silent
+  // bug: the rank still counts as arrived, but never waits for the others.
+  class [[nodiscard]] CollectiveAwait;
+
+  CollectiveAwait barrier(Rank me);
+  CollectiveAwait barrier(Rank me, const Group& group);
+  CollectiveAwait bcast(Rank me, Rank root, std::uint64_t bytes);
+  CollectiveAwait reduce(Rank me, Rank root, std::uint64_t bytes);
+  CollectiveAwait allreduce(Rank me, std::uint64_t bytes);
+  CollectiveAwait gather(Rank me, Rank root, std::uint64_t bytes_each);
+  CollectiveAwait gather(Rank me, Rank root, std::uint64_t bytes_each,
+                         const Group& group);
+  CollectiveAwait allgather(Rank me, std::uint64_t bytes_each);
+  CollectiveAwait scatter(Rank me, Rank root, std::uint64_t bytes_each);
+  CollectiveAwait alltoall(Rank me, std::uint64_t bytes_each);
 
   /// Generic collective over an explicit group (used by the wrappers).
-  [[nodiscard]] sim::Task<void> collective(Rank me, trace::CollectiveKind kind,
-                                           Rank root, std::uint64_t bytes,
-                                           const Group& group);
+  CollectiveAwait collective(Rank me, trace::CollectiveKind kind, Rank root,
+                             std::uint64_t bytes, const Group& group);
 
  private:
   struct PendingCollective;
   struct Mailbox;
 
+  /// Position of `me` in the sorted group; throws if absent. A
+  /// world-sized group is the world (see queue_for), so its position is
+  /// the rank itself.
+  [[nodiscard]] std::size_t group_pos(const Group& group, Rank me) const;
   PendingCollective& join_collective(const Group& group, Rank me,
                                      trace::CollectiveKind kind, Rank root,
                                      std::uint64_t bytes, SimTime t_enter);
   /// The pending queue this group's collectives park in (world-sized
   /// groups get the dedicated O(1) slot).
   std::deque<std::unique_ptr<PendingCollective>>& queue_for(const Group& group);
-  void complete_collective(const Group& group, PendingCollective& p);
+  /// Stamp every arrival's exit, wake the parked waiters and log the
+  /// event; returns the exit of the last arrival (the completing rank).
+  SimTime complete_collective(const Group& group, PendingCollective& p);
   [[nodiscard]] SimDuration transfer_time(std::uint64_t bytes) const;
   /// Fail-stop check at an operation boundary: a crashed rank unwinds.
   void check_alive(Rank r) const;
@@ -131,6 +145,38 @@ class World {
   std::map<Group, std::deque<std::unique_ptr<PendingCollective>>> pending_;
   std::map<std::tuple<Rank, Rank, int>, std::unique_ptr<Mailbox>> mailboxes_;
   fault::Injector* injector_ = nullptr;  ///< not owned; nullptr = no faults
+};
+
+/// What every collective returns: the rank has already joined (see the
+/// collectives above). A completed collective carries the rank's exit
+/// time; a pending one carries the handle slot of the rank's waiter entry,
+/// which the completing rank reads to wake it. Kept to two words: one
+/// lives in the coroutine frame of every rank at every collective site.
+class [[nodiscard]] World::CollectiveAwait {
+ public:
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    if (exit_ == kParked) {
+      *waiter_ = h;
+    } else {
+      engine_->schedule(exit_, h);
+    }
+  }
+  void await_resume() const noexcept {}
+
+ private:
+  friend class World;
+  static constexpr SimTime kParked = -1;
+  CollectiveAwait(sim::Engine* engine, SimTime exit)
+      : engine_(engine), exit_(exit) {}
+  explicit CollectiveAwait(std::coroutine_handle<>* waiter)
+      : waiter_(waiter), exit_(kParked) {}
+
+  union {
+    sim::Engine* engine_;              ///< completed: resumes at exit_
+    std::coroutine_handle<>* waiter_;  ///< pending: the slot to park in
+  };
+  SimTime exit_;
 };
 
 }  // namespace pfsem::mpi

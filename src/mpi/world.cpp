@@ -16,10 +16,12 @@ struct World::PendingCollective {
   trace::CollectiveKind kind{};
   Rank root = kNoRank;
   std::uint64_t max_bytes = 0;
-  std::vector<trace::CollectiveArrival> arrivals;          // t_enter global
-  std::vector<std::pair<Rank, std::coroutine_handle<>>> waiters;
-  std::vector<char> joined;                                // by group position
-  std::vector<SimTime> exits;                              // by group position
+  std::vector<trace::CollectiveArrival> arrivals;  // global times
+  /// Every arrival but the last, by arrival index, with the handle its
+  /// awaiter parks there (null if the awaiter was dropped). Reserved up
+  /// front, so the slots never move while awaiters point at them.
+  std::vector<std::pair<std::uint32_t, std::coroutine_handle<>>> waiters;
+  std::vector<char> joined;  // by group position
 };
 
 struct World::Mailbox {
@@ -37,17 +39,6 @@ struct World::Mailbox {
   std::deque<PendingSend> sends;
   std::deque<PendingRecv> recvs;
 };
-
-namespace {
-
-/// Position of `r` in the sorted group; throws if absent.
-std::size_t group_pos(const Group& g, Rank r) {
-  auto it = std::lower_bound(g.begin(), g.end(), r);
-  require(it != g.end() && *it == r, "rank not a member of collective group");
-  return static_cast<std::size_t>(it - g.begin());
-}
-
-}  // namespace
 
 World::World(sim::Engine& engine, trace::Collector& collector, WorldConfig cfg)
     : engine_(&engine), collector_(&collector), cfg_(cfg), rng_(cfg.seed) {
@@ -175,6 +166,20 @@ std::deque<std::unique_ptr<World::PendingCollective>>& World::queue_for(
   return pending_[group];
 }
 
+std::size_t World::group_pos(const Group& group, Rank me) const {
+  // Same sorted-and-duplicate-free assumption as queue_for: in the world
+  // group, rank r sits at position r.
+  if (group.size() == all_.size()) {
+    require(me >= 0 && me < cfg_.nranks,
+            "rank not a member of collective group");
+    return static_cast<std::size_t>(me);
+  }
+  auto it = std::lower_bound(group.begin(), group.end(), me);
+  require(it != group.end() && *it == me,
+          "rank not a member of collective group");
+  return static_cast<std::size_t>(it - group.begin());
+}
+
 World::PendingCollective& World::join_collective(const Group& group, Rank me,
                                                  trace::CollectiveKind kind,
                                                  Rank root, std::uint64_t bytes,
@@ -203,13 +208,15 @@ World::PendingCollective& World::join_collective(const Group& group, Rank me,
   p->max_bytes = bytes;
   p->joined.assign(group.size(), 0);
   p->joined[pos] = 1;
+  // Sized once: joins and parks never reallocate.
+  p->arrivals.reserve(group.size());
+  p->waiters.reserve(group.size() - 1);
   p->arrivals.push_back({me, t_enter, 0});
-  p->exits.assign(group.size(), 0);
   queue.push_back(std::move(p));
   return *queue.back();
 }
 
-void World::complete_collective(const Group& group, PendingCollective& p) {
+SimTime World::complete_collective(const Group& group, PendingCollective& p) {
   SimTime latest = 0;
   for (const auto& a : p.arrivals) latest = std::max(latest, a.t_enter);
   const int hops = std::bit_width(group.size() - 1);  // ceil(log2(P))
@@ -222,86 +229,89 @@ void World::complete_collective(const Group& group, PendingCollective& p) {
             : static_cast<SimDuration>(
                   rng_.below(static_cast<std::uint64_t>(cfg_.exit_jitter) + 1));
     a.t_exit = t_done + jitter;
-    p.exits[group_pos(group, a.rank)] = a.t_exit;
   }
+  // Wake the waiters before the collector sees the arrivals: it rewrites
+  // their times into each rank's local clock.
+  for (const auto& [arrival, handle] : p.waiters) {
+    if (handle) engine_->schedule(p.arrivals[arrival].t_exit, handle);
+  }
+  const SimTime last_exit = p.arrivals.back().t_exit;
   trace::CollectiveEvent ev;
   ev.kind = p.kind;
   ev.root = p.root;
-  ev.arrivals = p.arrivals;
+  ev.arrivals = std::move(p.arrivals);
   collector_->emit_collective(std::move(ev));
-  for (auto& [rank, handle] : p.waiters) {
-    engine_->schedule(p.exits[group_pos(group, rank)], handle);
-  }
+  return last_exit;
 }
 
-sim::Task<void> World::collective(Rank me, trace::CollectiveKind kind, Rank root,
-                                  std::uint64_t bytes, const Group& group) {
+World::CollectiveAwait World::collective(Rank me, trace::CollectiveKind kind,
+                                         Rank root, std::uint64_t bytes,
+                                         const Group& group) {
   check_alive(me);
-  const SimTime t_enter = engine_->now();
-  PendingCollective& p = join_collective(group, me, kind, root, bytes, t_enter);
-  if (p.arrivals.size() == group.size()) {
-    complete_collective(group, p);
-    const SimTime my_exit = p.exits[group_pos(group, me)];
-    // Remove the completed collective before suspending; `p` dies here.
-    auto& queue = queue_for(group);
-    for (auto it = queue.begin(); it != queue.end(); ++it) {
-      if (it->get() == &p) {
-        queue.erase(it);
-        break;
-      }
-    }
-    co_await engine_->delay(my_exit - engine_->now());
-    co_return;
+  PendingCollective& p =
+      join_collective(group, me, kind, root, bytes, engine_->now());
+  if (p.arrivals.size() < group.size()) {
+    auto& waiter = p.waiters.emplace_back(
+        static_cast<std::uint32_t>(p.arrivals.size() - 1), nullptr);
+    return CollectiveAwait(&waiter.second);
   }
-  struct CollectiveWait {
-    PendingCollective* p;
-    Rank me;
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) { p->waiters.emplace_back(me, h); }
-    void await_resume() const noexcept {}
-  };
-  co_await CollectiveWait{&p, me};
+  const SimTime my_exit = complete_collective(group, p);
+  // Dequeue it (the oldest pending collective of its group, so the scan
+  // stops at the front); `p` dies here.
+  auto& queue = queue_for(group);
+  for (auto it = queue.begin(); it != queue.end(); ++it) {
+    if (it->get() == &p) {
+      queue.erase(it);
+      break;
+    }
+  }
+  return {engine_, my_exit};
 }
 
-sim::Task<void> World::barrier(Rank me) { return barrier(me, all_); }
+World::CollectiveAwait World::barrier(Rank me) { return barrier(me, all_); }
 
-sim::Task<void> World::barrier(Rank me, const Group& group) {
+World::CollectiveAwait World::barrier(Rank me, const Group& group) {
   return collective(me, trace::CollectiveKind::Barrier, kNoRank, 0, group);
 }
 
-sim::Task<void> World::bcast(Rank me, Rank root, std::uint64_t bytes) {
+World::CollectiveAwait World::bcast(Rank me, Rank root,
+                                    std::uint64_t bytes) {
   return collective(me, trace::CollectiveKind::Bcast, root, bytes, all_);
 }
 
-sim::Task<void> World::reduce(Rank me, Rank root, std::uint64_t bytes) {
+World::CollectiveAwait World::reduce(Rank me, Rank root,
+                                     std::uint64_t bytes) {
   return collective(me, trace::CollectiveKind::Reduce, root, bytes, all_);
 }
 
-sim::Task<void> World::allreduce(Rank me, std::uint64_t bytes) {
+World::CollectiveAwait World::allreduce(Rank me, std::uint64_t bytes) {
   return collective(me, trace::CollectiveKind::Allreduce, kNoRank, bytes, all_);
 }
 
-sim::Task<void> World::gather(Rank me, Rank root, std::uint64_t bytes_each) {
+World::CollectiveAwait World::gather(Rank me, Rank root,
+                                     std::uint64_t bytes_each) {
   return gather(me, root, bytes_each, all_);
 }
 
-sim::Task<void> World::gather(Rank me, Rank root, std::uint64_t bytes_each,
-                              const Group& group) {
+World::CollectiveAwait World::gather(Rank me, Rank root,
+                                     std::uint64_t bytes_each,
+                                     const Group& group) {
   return collective(me, trace::CollectiveKind::Gather, root,
                     bytes_each * group.size(), group);
 }
 
-sim::Task<void> World::allgather(Rank me, std::uint64_t bytes_each) {
+World::CollectiveAwait World::allgather(Rank me, std::uint64_t bytes_each) {
   return collective(me, trace::CollectiveKind::Allgather, kNoRank,
                     bytes_each * all_.size(), all_);
 }
 
-sim::Task<void> World::scatter(Rank me, Rank root, std::uint64_t bytes_each) {
+World::CollectiveAwait World::scatter(Rank me, Rank root,
+                                      std::uint64_t bytes_each) {
   return collective(me, trace::CollectiveKind::Scatter, root,
                     bytes_each * all_.size(), all_);
 }
 
-sim::Task<void> World::alltoall(Rank me, std::uint64_t bytes_each) {
+World::CollectiveAwait World::alltoall(Rank me, std::uint64_t bytes_each) {
   return collective(me, trace::CollectiveKind::Alltoall, kNoRank,
                     bytes_each * all_.size(), all_);
 }

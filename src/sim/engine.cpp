@@ -1,6 +1,8 @@
 #include "pfsem/sim/engine.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <utility>
 
 #include "pfsem/util/error.hpp"
 
@@ -36,10 +38,9 @@ Engine::Bucket* Engine::ring_front() {
   return &ring_[(base + static_cast<unsigned>(d)) & (kRingWindow - 1)];
 }
 
-Engine::Detached Engine::run_root(Task<void> task, int label) {
+Engine::Detached Engine::run_root(Task<void> task, std::size_t slot) {
   // Hold the task in this frame so its coroutine outlives every suspension.
   ++live_roots_;
-  live_labels_.insert(label);
   try {
     co_await delay(0);  // defer the program body to the event loop
     co_await std::move(task);
@@ -53,13 +54,28 @@ Engine::Detached Engine::run_root(Task<void> task, int label) {
     if (!first_error_) first_error_ = std::current_exception();
   }
   --live_roots_;
-  live_labels_.erase(live_labels_.find(label));
+  roots_[slot].frame = {};
 }
 
 void Engine::spawn(Task<void> task, int label) {
   require(task.valid(), "spawn() needs a valid task");
   if (obs_ != nullptr) obs_->metrics.add(obs_->sim_roots);
-  run_root(std::move(task), label);
+  // The root suspends at its first delay(0), so it is still live here.
+  const std::size_t slot = roots_.size();
+  roots_.push_back({{}, label});
+  roots_[slot].frame = run_root(std::move(task), slot).frame;
+}
+
+void Engine::reclaim_roots() {
+  for (Bucket& b : ring_) {
+    b.entries.clear();
+    b.head = 0;
+  }
+  ring_mask_ = 0;
+  queue_ = {};
+  for (Root& root : roots_) {
+    if (root.frame) std::exchange(root.frame, {}).destroy();
+  }
 }
 
 void Engine::note_dispatch(bool ring) {
@@ -140,26 +156,34 @@ void Engine::run() {
     obs_->metrics.set(obs_->sim_end_time, now_);
   }
   if (first_error_) {
-    // Drain remaining events without running them is not possible for
-    // coroutines parked in wait queues; report the root cause instead.
+    // The other roots cannot be unwound by resuming them (some are
+    // parked in wait queues); destroy their frames and report the root
+    // cause.
     auto err = first_error_;
     first_error_ = nullptr;
+    reclaim_roots();
     std::rethrow_exception(err);
   }
   if (live_roots_ != 0) {
     // Name the blocked roots (labelled spawns carry the rank id) and the
     // simulated time — fault-induced deadlocks are hard to debug blind.
+    std::vector<int> labels;
+    for (const Root& root : roots_) {
+      if (root.frame && root.label >= 0) labels.push_back(root.label);
+    }
+    std::sort(labels.begin(), labels.end());
     std::string ids;
-    for (const int label : live_labels_) {
-      if (label < 0) continue;
+    for (const int label : labels) {
       if (!ids.empty()) ids += ", ";
       ids += std::to_string(label);
     }
-    throw Error("simulation deadlock at t=" + std::to_string(now_) +
-                " ns: event queue drained with " + std::to_string(live_roots_) +
-                " root task(s) still blocked" +
-                (ids.empty() ? std::string{}
-                             : " (blocked ranks: " + ids + ")"));
+    Error deadlock("simulation deadlock at t=" + std::to_string(now_) +
+                   " ns: event queue drained with " +
+                   std::to_string(live_roots_) + " root task(s) still blocked" +
+                   (ids.empty() ? std::string{}
+                                : " (blocked ranks: " + ids + ")"));
+    reclaim_roots();
+    throw deadlock;
   }
 }
 

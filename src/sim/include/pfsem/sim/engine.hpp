@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <exception>
 #include <queue>
-#include <set>
 #include <vector>
 
 #include "pfsem/obs/obs.hpp"
@@ -68,21 +67,22 @@ class Engine {
   /// Schedule a coroutine to resume at absolute time `t` (>= now).
   void schedule(SimTime t, std::coroutine_handle<> h);
 
+  /// Awaiter of delay(): suspends the caller for `dur` simulated
+  /// nanoseconds, counted from the co_await.
+  struct [[nodiscard]] Delay {
+    Engine* engine;
+    SimDuration dur;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      engine->schedule(engine->now_ + dur, h);
+    }
+    void await_resume() const noexcept {}
+  };
+
   /// Awaitable that suspends the caller for `d` simulated nanoseconds.
   /// delay(0) still round-trips through the event queue, which gives every
   /// runnable coroutine a fair, deterministic turn.
-  [[nodiscard]] auto delay(SimDuration d) {
-    struct Awaiter {
-      Engine* engine;
-      SimDuration dur;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        engine->schedule(engine->now_ + dur, h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this, d};
-  }
+  [[nodiscard]] Delay delay(SimDuration d) { return Delay{this, d}; }
 
   /// Launch a root task (e.g. one simulated rank's program). The engine
   /// owns it; it starts when run() reaches time 0. `label` identifies the
@@ -95,6 +95,9 @@ class Engine {
   /// queue empties (deadlock, e.g. a barrier some rank never reaches); the
   /// deadlock message lists the blocked ranks' labels and the simulated
   /// time. A root that exits via TaskKilled is absorbed (see killed_roots).
+  /// Before throwing, run() drops the pending events and destroys every
+  /// unfinished root's coroutine frames: nothing could resume them, and a
+  /// failed run must not leak. The engine cannot be run again after that.
   void run();
 
   /// Number of root tasks that have not yet finished.
@@ -137,17 +140,27 @@ class Engine {
     [[nodiscard]] bool empty() const { return head == entries.size(); }
   };
 
-  // Fire-and-forget wrapper that owns a root Task for its whole run.
+  // Fire-and-forget wrapper that owns a root Task for its whole run. The
+  // frame frees itself on completion; `frame` lets a failed run() destroy
+  // a root that never completes.
   struct Detached {
     struct promise_type {
-      Detached get_return_object() { return {}; }
+      Detached get_return_object() {
+        return {std::coroutine_handle<promise_type>::from_promise(*this)};
+      }
       std::suspend_never initial_suspend() noexcept { return {}; }
       std::suspend_never final_suspend() noexcept { return {}; }
       void return_void() noexcept {}
       void unhandled_exception() noexcept { std::terminate(); }  // run_root catches
     };
+    std::coroutine_handle<> frame;
   };
-  Detached run_root(Task<void> task, int label);
+  /// `slot` indexes roots_; the root clears its frame when it finishes.
+  Detached run_root(Task<void> task, std::size_t slot);
+
+  /// Drop every pending event and destroy the frames of unfinished roots
+  /// (each destroys the nested task frames it owns). Failed runs only.
+  void reclaim_roots();
 
   /// Earliest-time non-empty ring bucket, or nullptr when the ring is
   /// empty. All ring events lie in [now, now + kRingWindow), so the
@@ -172,7 +185,13 @@ class Engine {
   std::uint64_t dispatched_ = 0;
   int live_roots_ = 0;
   int killed_roots_ = 0;
-  std::multiset<int> live_labels_;
+  /// Every spawned root, by spawn order. The frame is null once the root
+  /// finished; the label names it in deadlock diagnostics.
+  struct Root {
+    std::coroutine_handle<> frame;
+    int label = -1;
+  };
+  std::vector<Root> roots_;
   std::exception_ptr first_error_;
 
   /// Observability (off = nullptr; one branch per hot-path site).

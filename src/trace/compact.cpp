@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -35,27 +36,27 @@ using detail::zigzag;
 
 namespace detail {
 
-void write_comm(const CommLog& comm, std::ostream& os) {
-  put_varint(os, comm.p2p.size());
+void write_comm(const CommLog& comm, std::string& out) {
+  put_varint(out, comm.p2p.size());
   for (const auto& e : comm.p2p) {
-    put_varint(os, static_cast<std::uint64_t>(e.src));
-    put_varint(os, static_cast<std::uint64_t>(e.dst));
-    put_varint(os, zigzag(e.tag));
-    put_varint(os, e.bytes);
-    put_varint(os, zigzag(e.t_send_start));
-    put_varint(os, zigzag(e.t_send_end - e.t_send_start));
-    put_varint(os, zigzag(e.t_recv_start - e.t_send_start));
-    put_varint(os, zigzag(e.t_recv_end - e.t_recv_start));
+    put_varint(out, static_cast<std::uint64_t>(e.src));
+    put_varint(out, static_cast<std::uint64_t>(e.dst));
+    put_varint(out, zigzag(e.tag));
+    put_varint(out, e.bytes);
+    put_varint(out, zigzag(e.t_send_start));
+    put_varint(out, zigzag(e.t_send_end - e.t_send_start));
+    put_varint(out, zigzag(e.t_recv_start - e.t_send_start));
+    put_varint(out, zigzag(e.t_recv_end - e.t_recv_start));
   }
-  put_varint(os, comm.collectives.size());
+  put_varint(out, comm.collectives.size());
   for (const auto& c : comm.collectives) {
-    put_varint(os, static_cast<std::uint64_t>(c.kind));
-    put_varint(os, zigzag(c.root));
-    put_varint(os, c.arrivals.size());
+    put_varint(out, static_cast<std::uint64_t>(c.kind));
+    put_varint(out, zigzag(c.root));
+    put_varint(out, c.arrivals.size());
     for (const auto& a : c.arrivals) {
-      put_varint(os, static_cast<std::uint64_t>(a.rank));
-      put_varint(os, zigzag(a.t_enter));
-      put_varint(os, zigzag(a.t_exit - a.t_enter));
+      put_varint(out, static_cast<std::uint64_t>(a.rank));
+      put_varint(out, zigzag(a.t_enter));
+      put_varint(out, zigzag(a.t_exit - a.t_enter));
     }
   }
 }
@@ -144,7 +145,9 @@ void write_compact_streamed(int nranks, const PathTable& paths,
   require(emitted == record_count,
           "record scan count mismatch in compact trace write");
 
-  detail::write_comm(comm, os);
+  std::string comm_bytes;
+  detail::write_comm(comm, comm_bytes);
+  os.write(comm_bytes.data(), static_cast<std::streamsize>(comm_bytes.size()));
   require(static_cast<bool>(os), "compact trace write failure");
 }
 

@@ -78,7 +78,8 @@ class CompactReader {
 namespace detail {
 /// Comm-log encoding shared by the compact (v2) trailer and the chunk
 /// spill trailer (spill.cpp) — one definition, formats cannot drift.
-void write_comm(const CommLog& comm, std::ostream& os);
+/// The writer appends to a byte buffer (millions of varints at scale).
+void write_comm(const CommLog& comm, std::string& out);
 [[nodiscard]] CommLog read_comm(std::istream& is, int nranks);
 }  // namespace detail
 

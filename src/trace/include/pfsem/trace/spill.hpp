@@ -58,9 +58,10 @@ class SpillStore {
   [[nodiscard]] std::size_t peak_memory() const { return peak_mem_; }
   [[nodiscard]] bool spilled() const { return !path_.empty(); }
 
-  /// Fresh read stream over everything appended so far. The writer side
-  /// must be done (appending after open_read() on a spilled store is an
-  /// error).
+  /// Fresh read stream over everything appended so far; callable any
+  /// number of times. The writer side must be done: appending after
+  /// open_read() is an error. An unspilled store hands out a view of its
+  /// buffer, so the store must outlive the stream.
   [[nodiscard]] std::unique_ptr<std::istream> open_read();
 
  private:

@@ -1,14 +1,15 @@
 #pragma once
 // LEB128 varint and zig-zag primitives shared by the compact (v2) codec
-// (compact.cpp) and the chunked spill codec (spill.hpp). Stream variants
-// encode/decode against iostreams; the string variants append to a byte
-// buffer for hot paths that batch a whole chunk before touching the
-// stream. Both sides of every format in the repository use exactly these
-// functions, so the encodings cannot drift apart.
+// (compact.cpp) and the chunked spill codec (spill.hpp). Decoding reads
+// the stream's buffer directly; the string encoders append to a byte
+// buffer for hot paths that batch a whole chunk or comm log before
+// touching the stream. Both sides of every format in the repository use
+// exactly these functions, so the encodings cannot drift apart.
 
 #include <cstdint>
 #include <istream>
 #include <ostream>
+#include <streambuf>
 #include <string>
 #include <string_view>
 
@@ -32,11 +33,13 @@ inline void put_varint(std::string& out, std::uint64_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-inline std::uint64_t get_varint(std::istream& is) {
+/// Decodes straight from the stream buffer: istream::get() would build a
+/// sentry per byte, which dominated chunk replay.
+inline std::uint64_t get_varint(std::streambuf& buf) {
   std::uint64_t v = 0;
   int shift = 0;
   while (true) {
-    const int c = is.get();
+    const int c = buf.sbumpc();
     require(c != std::char_traits<char>::eof(), "truncated compact trace");
     require(shift < 64, "overlong varint in compact trace");
     v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
@@ -44,6 +47,10 @@ inline std::uint64_t get_varint(std::istream& is) {
     shift += 7;
   }
   return v;
+}
+
+inline std::uint64_t get_varint(std::istream& is) {
+  return get_varint(*is.rdbuf());
 }
 
 constexpr std::uint64_t zigzag(std::int64_t v) {
@@ -58,6 +65,11 @@ constexpr std::int64_t unzigzag(std::uint64_t v) {
 inline void put_string(std::ostream& os, std::string_view s) {
   put_varint(os, s.size());
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
+}
+
+inline void put_string(std::string& out, std::string_view s) {
+  put_varint(out, s.size());
+  out.append(s);
 }
 
 inline std::string get_string(std::istream& is) {

@@ -4,7 +4,7 @@
 
 #include <atomic>
 #include <filesystem>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "pfsem/trace/serialize.hpp"
@@ -24,6 +24,25 @@ using detail::get_varint;
 using detail::put_varint;
 using detail::unzigzag;
 using detail::zigzag;
+
+/// Read-only stream whose get area is a borrowed byte buffer.
+class MemoryStream final : public std::istream {
+ public:
+  explicit MemoryStream(std::string_view bytes)
+      : std::istream(nullptr), buf_(bytes) {
+    rdbuf(&buf_);
+  }
+
+ private:
+  struct ViewBuf final : std::streambuf {
+    explicit ViewBuf(std::string_view bytes) {
+      // The get area is never written through; streambuf just wants char*.
+      char* const p = const_cast<char*>(bytes.data());
+      setg(p, p, p + bytes.size());
+    }
+  };
+  ViewBuf buf_;
+};
 
 std::string fresh_spill_path() {
   static std::atomic<unsigned> counter{0};
@@ -47,8 +66,8 @@ SpillStore::~SpillStore() {
 }
 
 void SpillStore::append(std::string_view bytes) {
+  require(!reading_, "SpillStore::append after open_read");
   if (path_.empty() && mem_.size() + bytes.size() > ceiling_) {
-    require(!reading_, "SpillStore::append after open_read");
     path_ = fresh_spill_path();
     file_.open(path_, std::ios::binary | std::ios::trunc);
     require(static_cast<bool>(file_), "cannot open spill file " + path_);
@@ -60,7 +79,6 @@ void SpillStore::append(std::string_view bytes) {
     mem_.append(bytes);
     peak_mem_ = std::max(peak_mem_, mem_.size());
   } else {
-    require(!reading_, "SpillStore::append after open_read");
     file_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     require(static_cast<bool>(file_), "spill file write failure");
   }
@@ -68,12 +86,12 @@ void SpillStore::append(std::string_view bytes) {
 }
 
 std::unique_ptr<std::istream> SpillStore::open_read() {
-  if (path_.empty()) {
-    // Unspilled: hand out a copy so the store stays re-readable; small by
-    // definition (below the ceiling).
-    return std::make_unique<std::istringstream>(mem_, std::ios::binary);
-  }
   reading_ = true;
+  if (path_.empty()) {
+    // Unspilled: a read-only view of the buffer, no copy. Every call
+    // starts a fresh view, so the store stays re-readable.
+    return std::make_unique<MemoryStream>(mem_);
+  }
   file_.flush();
   auto in = std::make_unique<std::ifstream>(path_, std::ios::binary);
   require(static_cast<bool>(*in), "cannot reopen spill file " + path_);
@@ -124,15 +142,16 @@ void ChunkWriter::finish(const StreamMeta& meta) {
   require(meta.records == expected_seq_,
           "stream meta record count does not match the chunks written");
   finished_ = true;
-  std::ostringstream trailer(std::ios::binary);
-  trailer.put(kTrailerMarker);
-  put_varint(trailer, meta.records);
-  put_varint(trailer, meta.paths.size());
+  buf_.clear();
+  buf_.push_back(kTrailerMarker);
+  put_varint(buf_, meta.records);
+  put_varint(buf_, meta.paths.size());
   for (std::size_t i = 0; i < meta.paths.size(); ++i) {
-    detail::put_string(trailer, meta.paths.view(static_cast<FileId>(i)));
+    detail::put_string(buf_, meta.paths.view(static_cast<FileId>(i)));
   }
-  detail::write_comm(meta.comm, trailer);
-  store_.append(trailer.str());
+  detail::write_comm(meta.comm, buf_);
+  store_.append(buf_);
+  std::string().swap(buf_);  // the trailer can dwarf a chunk
 }
 
 ChunkReader::ChunkReader(std::istream& is) : is_(is) {
@@ -149,7 +168,7 @@ ChunkReader::ChunkReader(std::istream& is) : is_(is) {
 bool ChunkReader::next(Record& out) {
   while (chunk_left_ == 0) {
     if (at_trailer_) return false;
-    const int marker = is_.get();
+    const int marker = is_.rdbuf()->sbumpc();
     require(marker != std::char_traits<char>::eof(),
             "truncated chunk stream");
     if (marker == kTrailerMarker) {

@@ -6,8 +6,10 @@
 
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "pfsem/fault/injector.hpp"
 #include "pfsem/mpi/world.hpp"
 #include "pfsem/util/error.hpp"
 
@@ -181,6 +183,67 @@ TEST(Collectives, MismatchedKindThrows) {
   f.engine.spawn(a());
   f.engine.spawn(b());
   EXPECT_THROW(f.engine.run(), Error);
+}
+
+TEST(Collectives, OutOfRangeRankInWorldGroupThrows) {
+  // World-sized groups skip the membership search; the range check must
+  // still reject a rank outside the world.
+  Fixture f(4);
+  for (const Rank bad : {Rank{-1}, Rank{4}}) {
+    try {
+      (void)f.world->barrier(bad);
+      FAIL() << "rank " << bad << " joined a 4-rank world barrier";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "rank not a member of collective group"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_TRUE(f.collector.bundle().comm.collectives.empty());
+}
+
+TEST(Collectives, NonMemberOfSubgroupThrows) {
+  Fixture f(8);
+  const Group sub{0, 2, 4};
+  try {
+    (void)f.world->barrier(3, sub);
+    FAIL() << "rank 3 joined a barrier of {0, 2, 4}";
+  } catch (const Error& e) {
+    EXPECT_NE(
+        std::string(e.what()).find("rank not a member of collective group"),
+        std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Collectives, RankCrashedBeforeCollectiveUnwindsAsKilledRoot) {
+  Fixture f(4);
+  fault::Injector injector(fault::FaultPlan{}, /*seed=*/1,
+                           /*ranks_per_node=*/4);
+  f.world->set_fault_injector(&injector);
+  injector.mark_crashed(3);
+  const Group survivors{0, 1, 2};
+  bool victim_passed = false;
+  auto prog = [&](Rank r) -> sim::Task<void> {
+    co_await f.engine.delay(10);
+    if (r == 3) {
+      co_await f.world->allreduce(r, 8);  // throws TaskKilled at the call
+      victim_passed = true;
+    } else {
+      co_await f.world->barrier(r, survivors);
+    }
+  };
+  for (Rank r = 0; r < 4; ++r) f.engine.spawn(prog(r), r);
+  f.engine.run();
+  EXPECT_FALSE(victim_passed);
+  EXPECT_EQ(f.engine.killed_roots(), 1);
+  EXPECT_EQ(f.engine.live_roots(), 0);
+  // The victim never joined: only the survivors' barrier is logged.
+  const auto& log = f.collector.bundle().comm.collectives;
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0].kind, trace::CollectiveKind::Barrier);
+  EXPECT_EQ(log[0].arrivals.size(), 3u);
 }
 
 TEST(Collectives, ExitJitterSpreadsRanks) {

@@ -107,6 +107,39 @@ TEST(Engine, DeadlockDetected) {
   EXPECT_THROW(e.run(), Error);  // queue drains with a live blocked root
 }
 
+struct CountOnDestroy {
+  int* destroyed;
+  ~CountOnDestroy() { ++*destroyed; }
+};
+
+Task<void> park_forever(WaitQueue* q, int* destroyed) {
+  CountOnDestroy g{destroyed};
+  co_await q->wait();
+}
+
+Task<void> park_nested(WaitQueue* q, int* destroyed) {
+  CountOnDestroy g{destroyed};
+  co_await park_forever(q, destroyed);
+}
+
+TEST(Engine, FailedRunDestroysStrandedFrames) {
+  // A failed run cannot resume its blocked roots, so it destroys their
+  // frames: locals of every nested task unwind, nothing leaks.
+  auto failing = [](Engine* eng) -> Task<void> {
+    co_await eng->delay(10);
+    throw Error("boom");
+  };
+  for (const bool deadlock : {true, false}) {
+    Engine e;
+    WaitQueue wq(e);
+    int destroyed = 0;
+    e.spawn(park_nested(&wq, &destroyed));
+    if (!deadlock) e.spawn(failing(&e));
+    EXPECT_THROW(e.run(), Error);
+    EXPECT_EQ(destroyed, 2) << (deadlock ? "deadlock" : "first error");
+  }
+}
+
 TEST(Engine, SchedulingInPastRejected) {
   Engine e;
   auto proc = [](Engine* eng) -> Task<void> { co_await eng->delay(100); };

@@ -378,5 +378,16 @@ TEST(StreamDiff, UnspilledStoreIsRereadable) {
   }
 }
 
+TEST(StreamDiff, UnspilledStoreIsReadOnlyOnceOpened) {
+  // An unspilled store is read through a view of its buffer, so an append
+  // (which may reallocate the buffer) must be refused once reading began.
+  trace::SpillStore store(1u << 10);
+  store.append("abc");
+  const auto in = store.open_read();
+  EXPECT_THROW(store.append("def"), Error);
+  std::string all(std::istreambuf_iterator<char>(*in), {});
+  EXPECT_EQ(all, "abc");
+}
+
 }  // namespace
 }  // namespace pfsem
