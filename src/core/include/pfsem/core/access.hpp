@@ -49,6 +49,15 @@ struct Access {
   std::size_t record_index = 0;
 };
 
+/// An open, commit or close by one rank, as offset reconstruction meets
+/// it (a close is also a commit, paper footnote 2).
+struct SyncEvent {
+  enum class Kind : std::uint8_t { Open, Commit, Close };
+  SimTime t = 0;
+  Rank rank = kNoRank;
+  Kind kind = Kind::Open;
+};
+
 /// All reconstructed activity on one file. A slot is *active* once the
 /// run touched the file (open/data/commit op); interned-but-untouched
 /// paths keep an inactive placeholder slot so the vector stays dense.
@@ -57,9 +66,14 @@ struct FileLog {
   /// Accesses in timestamp order.
   std::vector<Access> accesses;
   /// Per-rank sorted open/close/commit timestamps (for condition checks).
+  /// Filled by annotation from `events`.
   std::map<Rank, std::vector<SimTime>> opens;
   std::map<Rank, std::vector<SimTime>> closes;
   std::map<Rank, std::vector<SimTime>> commits;
+  /// Open/commit/close events not yet folded into the tables above:
+  /// reconstruction appends here (no per-record lookup by rank) and folds
+  /// them with one sort per batch and once more at annotation.
+  std::vector<SyncEvent> events;
 
   [[nodiscard]] bool active() const { return file != kNoFile; }
 

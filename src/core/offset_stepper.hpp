@@ -11,17 +11,20 @@
 // differential tests pin down.
 
 #include <algorithm>
-#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "pfsem/core/access.hpp"
 #include "pfsem/core/offset_tracker.hpp"
 #include "pfsem/trace/record.hpp"
 #include "pfsem/util/error.hpp"
+#include "pfsem/util/fd_table.hpp"
 
 namespace pfsem::core::detail {
+
+/// Fold `fl.events` into its per-rank open/commit/close tables (a close
+/// also counts as a commit) with one sort. Defined in offset_tracker.cpp.
+void fold_events(FileLog& fl);
 
 class OffsetStepper {
  public:
@@ -37,91 +40,90 @@ class OffsetStepper {
   /// tie-break key of the processing order, recorded on each Access).
   void step(const trace::Record& rec, std::size_t index) {
     using trace::Func;
-    const std::pair<Rank, int> key{rec.rank, rec.fd};
+    using Kind = SyncEvent::Kind;
     switch (rec.func) {
       case Func::open: {
         require(rec.ret >= 0, "trace contains failed open");
         require(rec.file != kNoFile, "open record without a path");
+        require(rec.rank >= 0 && (log_.nranks <= 0 || rec.rank < log_.nranks),
+                "open record rank out of range in trace");
         FdState st;
         st.file = rec.file;
         st.flags = rec.flags;
         if (rec.flags & trace::kTrunc) sizes_[st.file] = 0;
         st.offset = 0;
+        const int fd = static_cast<int>(rec.ret);
         // Replacing a still-open fd (trace reuse) releases its hold on
         // the old file before the new one takes the slot.
-        if (auto prev = fds_.find({rec.rank, static_cast<int>(rec.ret)});
-            prev != fds_.end()) {
-          --open_fds_[prev->second.file];
+        if (const FdState* prev = fds_.find(rec.rank, fd)) {
+          --open_fds_[prev->file];
         }
-        fds_[{rec.rank, static_cast<int>(rec.ret)}] = st;
+        fds_.put(rec.rank, fd, st);
         ++open_fds_[st.file];
-        log_.file(rec.file).opens[rec.rank].push_back(rec.tstart);
+        stage(rec.file, {rec.tstart, rec.rank, Kind::Open});
         break;
       }
       case Func::close: {
-        auto it = fds_.find(key);
-        if (it != fds_.end()) {
-          auto& fl = log_.file(it->second.file);
-          fl.closes[rec.rank].push_back(rec.tstart);
-          fl.commits[rec.rank].push_back(rec.tstart);
-          --open_fds_[it->second.file];
-          fds_.erase(it);
+        if (const FdState* st = fds_.find(rec.rank, rec.fd)) {
+          const FileId f = st->file;
+          stage(f, {rec.tstart, rec.rank, Kind::Close});
+          --open_fds_[f];
+          fds_.erase(rec.rank, rec.fd);
         }
         break;
       }
       case Func::read:
       case Func::write: {
-        auto it = fds_.find(key);
-        require(it != fds_.end(), "read/write on unknown fd in trace");
-        FdState& st = it->second;
+        FdState* st = fds_.find(rec.rank, rec.fd);
+        require(st != nullptr, "read/write on unknown fd in trace");
         const bool is_write = rec.func == Func::write;
-        Offset off = st.offset;
-        if (is_write && (st.flags & trace::kAppend)) off = sizes_[st.file];
+        Offset off = st->offset;
+        if (is_write && (st->flags & trace::kAppend)) off = sizes_[st->file];
         const auto len = static_cast<std::uint64_t>(rec.ret);
-        add_access(rec, index, st.file, off, len,
+        add_access(rec, index, st->file, off, len,
                    is_write ? AccessType::Write : AccessType::Read);
-        st.offset = off + len;
+        st->offset = off + len;
         break;
       }
       case Func::pread:
       case Func::pwrite: {
-        auto it = fds_.find(key);
-        require(it != fds_.end(), "pread/pwrite on unknown fd in trace");
-        add_access(rec, index, it->second.file, rec.offset,
+        const FdState* st = fds_.find(rec.rank, rec.fd);
+        require(st != nullptr, "pread/pwrite on unknown fd in trace");
+        add_access(rec, index, st->file, rec.offset,
                    static_cast<std::uint64_t>(rec.ret),
                    rec.func == Func::pwrite ? AccessType::Write
                                             : AccessType::Read);
         break;
       }
       case Func::lseek: {
-        auto it = fds_.find(key);
-        require(it != fds_.end(), "lseek on unknown fd in trace");
-        FdState& st = it->second;
+        FdState* st = fds_.find(rec.rank, rec.fd);
+        require(st != nullptr, "lseek on unknown fd in trace");
         const auto delta = static_cast<std::int64_t>(rec.offset);
         std::int64_t base = 0;
         switch (rec.flags) {
           case trace::kSeekSet: base = 0; break;
           case trace::kSeekCur:
-            base = static_cast<std::int64_t>(st.offset);
+            base = static_cast<std::int64_t>(st->offset);
             break;
           case trace::kSeekEnd:
-            base = static_cast<std::int64_t>(sizes_[st.file]);
+            base = static_cast<std::int64_t>(sizes_[st->file]);
             break;
           default: require(false, "bad whence in trace");
         }
-        st.offset = static_cast<Offset>(base + delta);
+        st->offset = static_cast<Offset>(base + delta);
         break;
       }
       case Func::fsync:
       case Func::fdatasync: {
-        auto it = fds_.find(key);
-        require(it != fds_.end(), "fsync on unknown fd in trace");
-        log_.file(it->second.file).commits[rec.rank].push_back(rec.tstart);
+        const FdState* st = fds_.find(rec.rank, rec.fd);
+        require(st != nullptr, "fsync on unknown fd in trace");
+        stage(st->file, {rec.tstart, rec.rank, Kind::Commit});
         break;
       }
       case Func::ftruncate: {
-        auto it = fds_.find(key);
-        if (it != fds_.end()) sizes_[it->second.file] = rec.offset;
+        if (const FdState* st = fds_.find(rec.rank, rec.fd)) {
+          sizes_[st->file] = rec.offset;
+        }
         break;
       }
       default:
@@ -143,6 +145,16 @@ class OffsetStepper {
     Offset offset = 0;
     int flags = 0;
   };
+
+  /// Stage an open/commit/close on `f`, folding a full batch into the
+  /// per-rank tables so staging stays bounded on busy shared files.
+  void stage(FileId f, SyncEvent e) {
+    FileLog& fl = log_.file(f);
+    fl.events.push_back(e);
+    if (fl.events.size() >= kFoldBatch) fold_events(fl);
+  }
+
+  static constexpr std::size_t kFoldBatch = 1024;
 
   void add_access(const trace::Record& rec, std::size_t index, FileId f,
                   Offset off, std::uint64_t len, AccessType type) {
@@ -172,7 +184,7 @@ class OffsetStepper {
 
   AccessLog& log_;
   OffsetTrackerOptions opts_;
-  std::map<std::pair<Rank, int>, FdState> fds_;
+  FdTable<FdState> fds_;
   std::vector<Offset> sizes_;  // up-to-date size per file
   std::vector<std::uint32_t> open_fds_;  // open descriptors per file
 };

@@ -1,8 +1,8 @@
 #include "pfsem/core/pattern.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
+#include <span>
 
 #include "pfsem/exec/pool.hpp"
 
@@ -20,7 +20,9 @@ const char* to_string(FileLayout l) {
 
 namespace {
 
-void count_transitions(TransitionMix& mix, const std::vector<const Access*>& seq) {
+using Seq = std::span<const Access* const>;
+
+void count_transitions(TransitionMix& mix, Seq seq) {
   for (std::size_t i = 1; i < seq.size(); ++i) {
     const Offset prev_end = seq[i - 1]->ext.end;
     const Offset begin = seq[i]->ext.begin;
@@ -61,7 +63,7 @@ std::vector<const Access*> data_accesses(const FileLog& file,
 
 /// True if every adjacent transition moves forward by at most `gap` bytes
 /// (interspersed metadata is allowed to fill small gaps).
-bool is_consecutive(const std::vector<const Access*>& seq, Offset gap = 0) {
+bool is_consecutive(Seq seq, Offset gap = 0) {
   for (std::size_t i = 1; i < seq.size(); ++i) {
     const Offset begin = seq[i]->ext.begin;
     const Offset prev_end = seq[i - 1]->ext.end;
@@ -70,7 +72,7 @@ bool is_consecutive(const std::vector<const Access*>& seq, Offset gap = 0) {
   return true;
 }
 
-bool is_monotonic(const std::vector<const Access*>& seq) {
+bool is_monotonic(Seq seq) {
   for (std::size_t i = 1; i < seq.size(); ++i) {
     if (seq[i]->ext.begin < seq[i - 1]->ext.end) return false;
   }
@@ -79,7 +81,7 @@ bool is_monotonic(const std::vector<const Access*>& seq) {
 
 /// All gaps between successive accesses equal (arithmetic progression of
 /// starts with constant stride >= access size).
-bool is_arithmetic(const std::vector<const Access*>& seq) {
+bool is_arithmetic(Seq seq) {
   if (seq.size() < 2) return false;
   const auto stride = static_cast<std::int64_t>(seq[1]->ext.begin) -
                       static_cast<std::int64_t>(seq[0]->ext.begin);
@@ -91,6 +93,41 @@ bool is_arithmetic(const std::vector<const Access*>& seq) {
   }
   return true;
 }
+
+/// A sequence of accesses grouped by rank with one stable sort: ranks
+/// ascending, each rank's accesses in their original (time) order.
+class RankRuns {
+ public:
+  explicit RankRuns(std::vector<const Access*> seq) : seq_(std::move(seq)) {
+    const auto by_rank = [](const Access* a, const Access* b) {
+      return a->rank < b->rank;
+    };
+    if (!std::is_sorted(seq_.begin(), seq_.end(), by_rank)) {
+      std::stable_sort(seq_.begin(), seq_.end(), by_rank);
+    }
+    for (std::size_t i = 0; i < seq_.size(); ++i) {
+      if (i == 0 || seq_[i]->rank != seq_[i - 1]->rank) starts_.push_back(i);
+    }
+    starts_.push_back(seq_.size());
+  }
+
+  [[nodiscard]] std::size_t size() const { return starts_.size() - 1; }
+  [[nodiscard]] Seq operator[](std::size_t i) const {
+    return Seq(seq_).subspan(starts_[i], starts_[i + 1] - starts_[i]);
+  }
+  /// True if `pred` holds for every rank's run.
+  template <class Pred>
+  [[nodiscard]] bool all(Pred pred) const {
+    for (std::size_t i = 0; i < size(); ++i) {
+      if (!pred((*this)[i])) return false;
+    }
+    return true;
+  }
+
+ private:
+  std::vector<const Access*> seq_;
+  std::vector<std::size_t> starts_;
+};
 
 /// Offsets of one "round" (one access per rank), sorted by rank, equally
 /// spaced — the paper's "process i accesses offset a*i+b" phase shape.
@@ -132,9 +169,13 @@ TransitionMix sum_per_file(const AccessLog& log, int threads,
 
 TransitionMix local_transitions(const FileLog& file) {
   TransitionMix mix;
-  std::map<Rank, std::vector<const Access*>> per_rank;
-  for (const auto& a : file.accesses) per_rank[a.rank].push_back(&a);
-  for (const auto& [rank, seq] : per_rank) count_transitions(mix, seq);
+  std::vector<const Access*> seq;
+  seq.reserve(file.accesses.size());
+  for (const auto& a : file.accesses) seq.push_back(&a);
+  const RankRuns per_rank(std::move(seq));
+  for (std::size_t i = 0; i < per_rank.size(); ++i) {
+    count_transitions(mix, per_rank[i]);
+  }
   return mix;
 }
 
@@ -159,22 +200,21 @@ FileLayout classify_file_layout(const FileLog& file, PatternOptions opts) {
   const auto data = data_accesses(file, opts);
   if (data.size() < 2) return FileLayout::Consecutive;
 
-  std::map<Rank, std::vector<const Access*>> per_rank;
-  for (const auto* a : data) per_rank[a->rank].push_back(a);
+  const RankRuns per_rank(data);
 
   // Rule 1: every rank's own stream is consecutive (small metadata-fill
   // gaps tolerated). A single writer, or every rank covering the same
   // range, is the paper's "consecutive" class; per-process segments at
   // offset a*i+b (tiled or gapped) are its "strided" class.
   const Offset gap_tol = opts.consecutive_gap_tolerance;
-  const bool all_rank_consecutive = std::all_of(
-      per_rank.begin(), per_rank.end(),
-      [gap_tol](const auto& kv) { return is_consecutive(kv.second, gap_tol); });
+  const bool all_rank_consecutive =
+      per_rank.all([gap_tol](Seq seq) { return is_consecutive(seq, gap_tol); });
   if (all_rank_consecutive) {
     if (per_rank.size() == 1) return FileLayout::Consecutive;
     // Per-rank overall segments.
     std::vector<Extent> segs;
-    for (const auto& [rank, seq] : per_rank) {
+    for (std::size_t i = 0; i < per_rank.size(); ++i) {
+      const Seq seq = per_rank[i];
       segs.push_back({seq.front()->ext.begin, seq.back()->ext.end});
     }
     std::sort(segs.begin(), segs.end(),
@@ -231,17 +271,15 @@ FileLayout classify_file_layout(const FileLog& file, PatternOptions opts) {
   }
 
   // Rule 3: per-rank arithmetic progressions (array-of-structs striding).
-  if (std::all_of(per_rank.begin(), per_rank.end(), [](const auto& kv) {
-        return kv.second.size() < 2 || is_arithmetic(kv.second) ||
-               is_consecutive(kv.second);
+  if (per_rank.all([](Seq seq) {
+        return seq.size() < 2 || is_arithmetic(seq) || is_consecutive(seq);
       })) {
     return FileLayout::Strided;
   }
 
   // Rule 4: per-rank monotonic forward progress with irregular gaps
   // (independent-I/O FLASH), still "strided" in the paper's loose sense.
-  if (std::all_of(per_rank.begin(), per_rank.end(),
-                  [](const auto& kv) { return is_monotonic(kv.second); })) {
+  if (per_rank.all([](Seq seq) { return is_monotonic(seq); })) {
     return FileLayout::Strided;
   }
 

@@ -11,10 +11,11 @@ struct AdiosFile {
   FileId file = kNoFile;  // interned id of `dir`
   mpi::Group group;
   std::vector<Rank> aggregators;
-  std::map<Rank, int> data_fds;  // aggregator -> its subfile fd
-  int md_fd = -1;                // rank 0: md.0 log
-  int idx_fd = -1;               // rank 0: md.idx index
-  std::map<Rank, std::uint64_t> staged;
+  /// Per-member state, indexed by group position (World::group_pos).
+  std::vector<int> data_fds;  // aggregator's subfile fd; -1 = not one
+  int md_fd = -1;             // rank 0: md.0 log
+  int idx_fd = -1;            // rank 0: md.idx index
+  std::vector<std::uint64_t> staged;
   int open_count = 0;
 };
 
@@ -51,6 +52,8 @@ sim::Task<AdiosFile*> AdiosLite::open(Rank r, const std::string& name,
     slot->dir = dir;
     slot->file = file;
     slot->group = group;
+    slot->data_fds.assign(group.size(), -1);
+    slot->staged.assign(group.size(), 0);
     const auto naggr =
         std::min<std::size_t>(static_cast<std::size_t>(opt_.aggregators),
                               group.size());
@@ -72,7 +75,7 @@ sim::Task<AdiosFile*> AdiosLite::open(Rank r, const std::string& name,
       std::find(f->aggregators.begin(), f->aggregators.end(), r);
   if (agg_it != f->aggregators.end()) {
     const auto sub = static_cast<int>(agg_it - f->aggregators.begin());
-    f->data_fds[r] = co_await posix_.open(
+    f->data_fds[ctx_.world->group_pos(f->group, r)] = co_await posix_.open(
         r, dir + "/data." + std::to_string(sub),
         trace::kCreate | trace::kTrunc | trace::kWrOnly);
   }
@@ -89,7 +92,7 @@ sim::Task<AdiosFile*> AdiosLite::open(Rank r, const std::string& name,
 
 sim::Task<void> AdiosLite::put(Rank r, AdiosFile* f, std::uint64_t bytes) {
   const SimTime t0 = ctx_.engine->now();
-  f->staged[r] += bytes;
+  f->staged[ctx_.world->group_pos(f->group, r)] += bytes;
   co_await ctx_.engine->delay(500);  // buffer copy
   emit(r, trace::Func::adios_put, t0, bytes, f->file);
 }
@@ -99,12 +102,12 @@ sim::Task<void> AdiosLite::end_step(Rank r, AdiosFile* f) {
   // Ranks ship staged data to their aggregator; model as a barrier plus
   // the aggregator writing the aggregate sequentially (append).
   co_await ctx_.world->barrier(r, f->group);
-  if (f->data_fds.contains(r)) {
+  const std::size_t me = ctx_.world->group_pos(f->group, r);
+  if (f->data_fds[me] >= 0) {
     // This aggregator serves group.size()/naggr ranks.
-    const std::uint64_t per_rank = f->staged.contains(r) ? f->staged[r] : 0;
     const std::uint64_t total =
-        per_rank * (f->group.size() / f->aggregators.size());
-    if (total > 0) co_await posix_.write(r, f->data_fds[r], total);
+        f->staged[me] * (f->group.size() / f->aggregators.size());
+    if (total > 0) co_await posix_.write(r, f->data_fds[me], total);
   }
   if (r == f->group.front()) {
     co_await posix_.write(r, f->md_fd, 256);
@@ -112,7 +115,7 @@ sim::Task<void> AdiosLite::end_step(Rank r, AdiosFile* f) {
     co_await posix_.pwrite(r, f->idx_fd, 0, 1);
     co_await posix_.write(r, f->idx_fd, 64);
   }
-  f->staged[r] = 0;
+  f->staged[me] = 0;
   co_await ctx_.world->barrier(r, f->group);
   emit(r, trace::Func::adios_end_step, t0, 0, f->file);
 }
@@ -120,7 +123,10 @@ sim::Task<void> AdiosLite::end_step(Rank r, AdiosFile* f) {
 sim::Task<void> AdiosLite::close(Rank r, AdiosFile* f) {
   const SimTime t0 = ctx_.engine->now();
   co_await ctx_.world->barrier(r, f->group);
-  if (f->data_fds.contains(r)) co_await posix_.close(r, f->data_fds[r]);
+  if (const int fd = f->data_fds[ctx_.world->group_pos(f->group, r)];
+      fd >= 0) {
+    co_await posix_.close(r, fd);
+  }
   if (r == f->group.front()) {
     co_await posix_.close(r, f->md_fd);
     co_await posix_.close(r, f->idx_fd);

@@ -20,6 +20,7 @@
 #include "pfsem/iolib/context.hpp"
 #include "pfsem/sim/task.hpp"
 #include "pfsem/trace/record.hpp"
+#include "pfsem/util/fd_table.hpp"
 
 namespace pfsem::iolib {
 
@@ -87,7 +88,7 @@ class PosixIo {
 
   IoContext ctx_;
   trace::Layer origin_;
-  std::map<std::pair<Rank, int>, FileId> fd_files_;
+  FdTable<FileId> fd_files_;
   std::vector<vfs::ReadExtent> last_read_;
 };
 

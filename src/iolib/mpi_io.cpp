@@ -14,7 +14,9 @@ struct MpiFile {
   FileId file = kNoFile;
   mpi::Group group;
   std::vector<Rank> aggregators;
-  std::map<Rank, int> fds;
+  /// Per-member descriptors, indexed by group position
+  /// (World::group_pos); -1 = not open.
+  std::vector<int> fds;
   int open_count = 0;
 
   /// Staging for collective transfers: one generation per *per-rank* call
@@ -28,7 +30,14 @@ struct MpiFile {
     std::size_t done = 0;
   };
   std::map<std::uint64_t, Pending> pending;
-  std::map<Rank, std::uint64_t> generation;
+  std::vector<std::uint64_t> generation;  ///< per member, like fds
+
+  /// Rank r's descriptor.
+  [[nodiscard]] int fd(const mpi::World& world, Rank r) const {
+    const int d = fds[world.group_pos(group, r)];
+    require(d >= 0, "MPI file not open on this rank: " + path);
+    return d;
+  }
 };
 
 MpiIo::MpiIo(IoContext ctx, MpiIoOptions opt)
@@ -64,6 +73,8 @@ sim::Task<MpiFile*> MpiIo::open(Rank r, const std::string& path, int flags,
     slot->path = path;
     slot->file = file;
     slot->group = group;
+    slot->fds.assign(group.size(), -1);
+    slot->generation.assign(group.size(), 0);
     // Evenly-spaced aggregator ranks within the group (ROMIO default-ish).
     const int naggr = std::min<int>(opt_.aggregators,
                                     static_cast<int>(group.size()));
@@ -82,7 +93,8 @@ sim::Task<MpiFile*> MpiIo::open(Rank r, const std::string& path, int flags,
   ++fh->open_count;
   // ROMIO stats the file then every rank opens it.
   co_await posix_.stat(r, path);
-  fh->fds[r] = co_await posix_.open(r, path, flags);
+  const std::size_t me = ctx_.world->group_pos(fh->group, r);
+  fh->fds[me] = co_await posix_.open(r, path, flags);
   co_await ctx_.world->barrier(r, group);
   emit(r, trace::Func::mpi_file_open, t0, 0, 0, file);
   co_return fh;
@@ -91,7 +103,7 @@ sim::Task<MpiFile*> MpiIo::open(Rank r, const std::string& path, int flags,
 sim::Task<void> MpiIo::close(Rank r, MpiFile* fh) {
   const SimTime t0 = ctx_.engine->now();
   co_await ctx_.world->barrier(r, fh->group);
-  co_await posix_.close(r, fh->fds.at(r));
+  co_await posix_.close(r, fh->fd(*ctx_.world, r));
   const FileId file = fh->file;
   emit(r, trace::Func::mpi_file_close, t0, 0, 0, file);
   if (--fh->open_count == 0) handles_.erase(file);
@@ -100,14 +112,14 @@ sim::Task<void> MpiIo::close(Rank r, MpiFile* fh) {
 sim::Task<void> MpiIo::write_at(Rank r, MpiFile* fh, Offset off,
                                 std::uint64_t count) {
   const SimTime t0 = ctx_.engine->now();
-  co_await posix_.pwrite(r, fh->fds.at(r), off, count);
+  co_await posix_.pwrite(r, fh->fd(*ctx_.world, r), off, count);
   emit(r, trace::Func::mpi_file_write_at, t0, off, count, fh->file);
 }
 
 sim::Task<void> MpiIo::read_at(Rank r, MpiFile* fh, Offset off,
                                std::uint64_t count) {
   const SimTime t0 = ctx_.engine->now();
-  co_await posix_.pread(r, fh->fds.at(r), off, count);
+  co_await posix_.pread(r, fh->fd(*ctx_.world, r), off, count);
   emit(r, trace::Func::mpi_file_read_at, t0, off, count, fh->file);
 }
 
@@ -115,7 +127,8 @@ sim::Task<void> MpiIo::collective_transfer(Rank r, MpiFile* fh, Offset off,
                                            std::uint64_t count, bool is_write) {
   // Phase 1: exchange access ranges (modelled by the barrier's all-to-all
   // synchronization; contribution hulls are staged in the shared handle).
-  const std::uint64_t gen = fh->generation[r]++;
+  const std::uint64_t gen =
+      fh->generation[ctx_.world->group_pos(fh->group, r)]++;
   {
     auto& stage = fh->pending[gen];
     const Extent ext{off, off + count};
@@ -146,9 +159,9 @@ sim::Task<void> MpiIo::collective_transfer(Rank r, MpiFile* fh, Offset off,
           static_cast<double>(domain.size()) /
           ctx_.world->config().net_bytes_per_ns));
       if (is_write) {
-        co_await posix_.pwrite(r, fh->fds.at(r), domain.begin, domain.size());
+        co_await posix_.pwrite(r, fh->fd(*ctx_.world, r), domain.begin, domain.size());
       } else {
-        co_await posix_.pread(r, fh->fds.at(r), domain.begin, domain.size());
+        co_await posix_.pread(r, fh->fd(*ctx_.world, r), domain.begin, domain.size());
       }
     }
   }
@@ -172,13 +185,13 @@ sim::Task<void> MpiIo::read_at_all(Rank r, MpiFile* fh, Offset off,
 
 sim::Task<void> MpiIo::sync(Rank r, MpiFile* fh) {
   const SimTime t0 = ctx_.engine->now();
-  co_await posix_.fsync(r, fh->fds.at(r));
+  co_await posix_.fsync(r, fh->fd(*ctx_.world, r));
   emit(r, trace::Func::mpi_file_sync, t0, 0, 0, fh->file);
 }
 
 sim::Task<void> MpiIo::set_size(Rank r, MpiFile* fh, Offset size) {
   const SimTime t0 = ctx_.engine->now();
-  co_await posix_.ftruncate(r, fh->fds.at(r), size);
+  co_await posix_.ftruncate(r, fh->fd(*ctx_.world, r), size);
   emit(r, trace::Func::mpi_file_set_size, t0, 0, size, fh->file);
 }
 

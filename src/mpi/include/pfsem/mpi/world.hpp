@@ -110,14 +110,15 @@ class World {
   CollectiveAwait collective(Rank me, trace::CollectiveKind kind, Rank root,
                              std::uint64_t bytes, const Group& group);
 
+  /// Position of `me` in the sorted group; throws if absent. A
+  /// world-sized group is the world (see queue_for), so its position is
+  /// the rank itself. Facades index per-member state by it.
+  [[nodiscard]] std::size_t group_pos(const Group& group, Rank me) const;
+
  private:
   struct PendingCollective;
   struct Mailbox;
 
-  /// Position of `me` in the sorted group; throws if absent. A
-  /// world-sized group is the world (see queue_for), so its position is
-  /// the rank itself.
-  [[nodiscard]] std::size_t group_pos(const Group& group, Rank me) const;
   PendingCollective& join_collective(const Group& group, Rank me,
                                      trace::CollectiveKind kind, Rank root,
                                      std::uint64_t bytes, SimTime t_enter);

@@ -59,11 +59,18 @@ void put_record(std::ostream& os, const TraceBundle& bundle, const Record& r) {
   put_string(os, bundle.path_of(r));
 }
 
-Record get_record(std::istream& is, TraceBundle& bundle) {
+Record get_record(std::istream& is, TraceBundle& bundle, std::uint64_t index) {
   Record r;
   r.tstart = get<SimTime>(is);
   r.tend = get<SimTime>(is);
   r.rank = get<Rank>(is);
+  // Per-rank state downstream (fd tables, stream frontiers) is indexed by
+  // rank, so an out-of-range rank must stop here.
+  if (r.rank < 0 || r.rank >= bundle.nranks) {
+    fail("record " + std::to_string(index) + ": rank " +
+         std::to_string(r.rank) + " out of range [0, " +
+         std::to_string(bundle.nranks) + ")");
+  }
   r.layer = static_cast<Layer>(get<std::uint8_t>(is));
   r.origin = static_cast<Layer>(get<std::uint8_t>(is));
   const auto func = get<std::uint16_t>(is);
@@ -126,7 +133,7 @@ TraceBundle read_binary(std::istream& is) {
   // count then fails as a clean truncated-stream error instead of OOM.
   b.records.reserve(std::min<std::uint64_t>(nrec, 1u << 20));
   for (std::uint64_t i = 0; i < nrec; ++i) {
-    b.records.push_back(get_record(is, b));
+    b.records.push_back(get_record(is, b, i));
   }
   const auto np2p = get<std::uint64_t>(is);
   b.comm.p2p.reserve(std::min<std::uint64_t>(np2p, 1u << 20));

@@ -170,29 +170,86 @@ bool write_durable(const WriteRecord& w, const ResolveEnv& env, SimTime now) {
   return true;
 }
 
-SimDuration charge_locks(FileCore& f, Rank r, Extent ext, bool exclusive,
-                         const LockParams& p, LockStats& stats) {
+void FileCore::clear_pending() {
+  for (auto& rs : ranks) {
+    rs.unpublished.clear();
+    rs.committed = 0;
+  }
+  orphans.clear();
+}
+
+void FileCore::rebuild_index() {
+  write_index.clear();
+  clear_pending();
+  // Writer -> slot, sorted once: `ranks` holds one entry per rank with
+  // open descriptors, so this is small next to the history.
+  std::vector<std::pair<Rank, int>> slot_of;
+  slot_of.reserve(ranks.size());
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    slot_of.emplace_back(ranks[i].rank, static_cast<int>(i));
+  }
+  std::sort(slot_of.begin(), slot_of.end());
+  for (std::uint32_t i = 0; i < writes.size(); ++i) {
+    int slot = -1;
+    if (writes[i].t_publish == kTimeNever) {
+      const auto it = std::lower_bound(
+          slot_of.begin(), slot_of.end(), std::pair{writes[i].writer, -1});
+      if (it != slot_of.end() && it->first == writes[i].writer) {
+        slot = it->second;
+      }
+    }
+    index_write(i, slot);
+  }
+  for (auto& rs : ranks) {
+    rs.committed = static_cast<std::uint32_t>(std::count_if(
+        rs.unpublished.begin(), rs.unpublished.end(),
+        [&](std::uint32_t i) { return writes[i].t_commit != kTimeNever; }));
+  }
+}
+
+std::uint32_t FileCore::add_rank(Rank r) {
+  RankState rs;
+  rs.rank = r;
+  if (!orphans.empty()) {
+    // Orphans are in write order per writer, so the adopted list keeps
+    // its committed prefix.
+    const auto mine = std::stable_partition(
+        orphans.begin(), orphans.end(),
+        [&](std::uint32_t i) { return writes[i].writer != r; });
+    rs.unpublished.assign(mine, orphans.end());
+    orphans.erase(mine, orphans.end());
+    rs.committed = static_cast<std::uint32_t>(std::count_if(
+        rs.unpublished.begin(), rs.unpublished.end(),
+        [&](std::uint32_t i) { return writes[i].t_commit != kTimeNever; }));
+  }
+  ranks.push_back(std::move(rs));
+  return static_cast<std::uint32_t>(ranks.size() - 1);
+}
+
+SimDuration charge_locks(FileCore& f, RankState& rs, Extent ext,
+                         bool exclusive, const LockParams& p,
+                         LockStats& stats) {
   if (p.model != ConsistencyModel::Strong || ext.empty()) return 0;
+  const Rank r = rs.rank;
   SimDuration cost = 0;
   const Offset first = ext.begin / p.lock_block;
   const Offset last = (ext.end - 1) / p.lock_block;
   for (Offset b = first; b <= last; ++b) {
     LockBlock& blk = f.locks[b];
+    const bool mine = blk.holds(r);
     // An exclusive request is satisfied only by a sole exclusive hold; a
     // shared request is satisfied by any existing hold of ours (a sole
     // exclusive hold also permits reading).
     const bool held_ok =
-        exclusive ? (blk.exclusive && blk.holders.size() == 1 &&
-                     blk.holders.contains(r))
-                  : blk.holders.contains(r);
+        exclusive ? (blk.exclusive && blk.holders.size() == 1 && mine) : mine;
     if (held_ok) continue;
     ++stats.requests;
     cost += p.lock_latency;
     // Call back conflicting holders.
     std::size_t conflicting = 0;
     if (exclusive) {
-      conflicting = blk.holders.size() - (blk.holders.contains(r) ? 1 : 0);
-    } else if (blk.exclusive && !blk.holders.contains(r)) {
+      conflicting = blk.holders.size() - (mine ? 1 : 0);
+    } else if (blk.exclusive && !mine) {
       conflicting = blk.holders.size();
     }
     if (conflicting > 0) {
@@ -200,15 +257,54 @@ SimDuration charge_locks(FileCore& f, Rank r, Extent ext, bool exclusive,
       cost += p.lock_latency * static_cast<SimDuration>(conflicting);
     }
     if (exclusive) {
-      blk.holders = {r};
+      blk.holders.assign(1, r);
       blk.exclusive = true;
     } else {
       if (blk.exclusive) blk.holders.clear();
       blk.exclusive = false;
-      blk.holders.insert(r);
+      blk.add(r);
     }
+    if (!mine) rs.held.push_back(b);
+  }
+  // Revocations leave stale entries in `held`; once they outnumber the
+  // file's blocks, keep only the blocks still held (amortized O(1) per
+  // request, and `held` stays bounded by the lock table).
+  if (rs.held.size() > 2 * f.locks.size() + 8) {
+    std::sort(rs.held.begin(), rs.held.end());
+    rs.held.erase(std::unique(rs.held.begin(), rs.held.end()), rs.held.end());
+    std::erase_if(rs.held, [&](Offset b) {
+      const auto it = f.locks.find(b);
+      return it == f.locks.end() || !it->second.holds(r);
+    });
   }
   return cost;
+}
+
+void release_locks(FileCore& f, RankState& rs) {
+  for (const Offset b : rs.held) {
+    if (const auto it = f.locks.find(b); it != f.locks.end()) {
+      it->second.remove(rs.rank);
+    }
+  }
+  rs.held.clear();
+}
+
+void commit_writes(FileCore& f, RankState& rs, SimTime now) {
+  for (std::size_t i = rs.committed; i < rs.unpublished.size(); ++i) {
+    WriteRecord& w = f.writes[rs.unpublished[i]];
+    if (w.t_commit == kTimeNever) w.t_commit = now;
+  }
+  rs.committed = static_cast<std::uint32_t>(rs.unpublished.size());
+}
+
+void publish_writes(FileCore& f, RankState& rs, SimTime now) {
+  for (const std::uint32_t i : rs.unpublished) {
+    WriteRecord& w = f.writes[i];
+    if (w.t_commit == kTimeNever) w.t_commit = now;
+    if (w.t_publish == kTimeNever) w.t_publish = now;
+  }
+  rs.unpublished.clear();
+  rs.committed = 0;
 }
 
 std::vector<VersionTag> apply_rank_crash(
@@ -217,21 +313,22 @@ std::vector<VersionTag> apply_rank_crash(
   std::vector<VersionTag> lost;
   for (auto& f : files) {
     if (!f) continue;
-    if (!f->laminated) {
-      const std::size_t before = f->writes.size();
-      std::erase_if(f->writes, [&](const WriteRecord& w) {
-        if (w.writer != r || write_durable(w, env, now)) return false;
-        lost.push_back(w.id);
-        return true;
-      });
-      if (f->writes.size() != before) {
-        f->rebuild_index();
-        Offset size = f->base_max_end;  // folded writes are durable
-        for (const auto& w : f->writes) size = std::max(size, w.ext.end);
-        f->size = size;
-      }
+    for (auto& rs : f->ranks) {
+      if (rs.rank == r) release_locks(*f, rs);
     }
-    for (auto& [blk, lock] : f->locks) lock.holders.erase(r);
+    if (f->laminated) continue;
+    const std::size_t before = f->writes.size();
+    std::erase_if(f->writes, [&](const WriteRecord& w) {
+      if (w.writer != r || write_durable(w, env, now)) return false;
+      lost.push_back(w.id);
+      return true;
+    });
+    if (f->writes.size() != before) {
+      f->rebuild_index();
+      Offset size = f->base_max_end;  // folded writes are durable
+      for (const auto& w : f->writes) size = std::max(size, w.ext.end);
+      f->size = size;
+    }
   }
   std::sort(lost.begin(), lost.end());
   return lost;

@@ -8,10 +8,10 @@
 // byte-identical across topologies", tests/test_cluster.cpp) then holds by
 // construction instead of by parallel maintenance.
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -36,9 +36,44 @@ struct WriteRecord {
   SimTime t_publish = kTimeNever;
 };
 
+/// One distributed-lock block: its mode and its holders, sorted by rank.
+/// A block rarely has more than a few holders, so a flat vector beats a
+/// tree here.
 struct LockBlock {
   bool exclusive = false;
-  std::set<Rank> holders;
+  std::vector<Rank> holders;
+
+  [[nodiscard]] bool holds(Rank r) const {
+    return std::binary_search(holders.begin(), holders.end(), r);
+  }
+  void add(Rank r) {
+    const auto it = std::lower_bound(holders.begin(), holders.end(), r);
+    if (it == holders.end() || *it != r) holders.insert(it, r);
+  }
+  void remove(Rank r) {
+    const auto it = std::lower_bound(holders.begin(), holders.end(), r);
+    if (it != holders.end() && *it == r) holders.erase(it);
+  }
+};
+
+/// What one rank holding open descriptors on a file owes at its next
+/// commit point, so close and fsync touch only the caller's writes and
+/// locks.
+struct RankState {
+  Rank rank = kNoRank;
+  /// Open descriptors of `rank` on the file; the state lives exactly as
+  /// long as this is nonzero.
+  std::uint32_t handles = 0;
+  /// Earliest t_open over those descriptors (the session-compaction floor).
+  SimTime t_open = kTimeNever;
+  /// The rank's unpublished writes (indices into FileCore::writes, in
+  /// write order). fsync commits every write a rank has, so the committed
+  /// ones always form a prefix: unpublished[0, committed).
+  std::vector<std::uint32_t> unpublished;
+  std::uint32_t committed = 0;
+  /// Lock blocks acquired since the last release. A revocation leaves a
+  /// stale entry behind; releasing a block no longer held is a no-op.
+  std::vector<Offset> held;
 };
 
 /// Piece of a resolved read range: [begin, end) carries version v by w.
@@ -81,18 +116,41 @@ struct FileCore {
   /// writes.size() right after the last compaction attempt; the trigger
   /// waits for the history to double past it (amortized O(1) per write).
   std::size_t compact_watermark = 0;
+  /// Per-writer index: one entry per rank with open descriptors on the
+  /// file (unordered; the backend's open handles cache their slot).
+  std::vector<RankState> ranks;
+  /// Unpublished writes whose writer holds no descriptor on the file (a
+  /// close whose commit was lost, a crashed writer's durable tail, or a
+  /// history built without handles). A later open by the writer adopts
+  /// its entries.
+  std::vector<std::uint32_t> orphans;
 
-  void index_write(std::uint32_t idx) {
-    const Extent& e = writes[idx].ext;
+  /// Index write `idx` (just appended): its blocks, and — when it is not
+  /// yet published — its writer's pending list (`slot` = the writer's
+  /// entry in `ranks`, or -1 for none).
+  void index_write(std::uint32_t idx, int slot = -1) {
+    const WriteRecord& w = writes[idx];
+    if (w.t_publish == kTimeNever) {
+      if (slot >= 0) {
+        ranks[static_cast<std::size_t>(slot)].unpublished.push_back(idx);
+      } else {
+        orphans.push_back(idx);
+      }
+    }
+    const Extent& e = w.ext;
     if (e.empty()) return;
     const Offset first = e.begin / kIndexBlock;
     const Offset last = (e.end - 1) / kIndexBlock;
     for (Offset b = first; b <= last; ++b) write_index[b].push_back(idx);
   }
-  void rebuild_index() {
-    write_index.clear();
-    for (std::uint32_t i = 0; i < writes.size(); ++i) index_write(i);
-  }
+  /// Rebuild the block index and the per-writer index from `writes`
+  /// (after any edit that drops or renumbers writes).
+  void rebuild_index();
+  /// Forget every pending write (the history was cleared or published).
+  void clear_pending();
+  /// Add a fresh entry for rank `r` to `ranks`, adopting its orphans;
+  /// returns the slot.
+  std::uint32_t add_rank(Rank r);
 };
 
 /// Consistency environment shared by visibility resolution and crash
@@ -133,11 +191,22 @@ struct LockParams {
   Offset lock_block = 1u << 20;
 };
 
-/// Acquire (or upgrade) `r`'s locks covering `ext`, charging one
-/// lock_latency per request and per conflicting-holder revocation.
-[[nodiscard]] SimDuration charge_locks(FileCore& f, Rank r, Extent ext,
+/// Acquire (or upgrade) the locks of `rs` (a rank's entry in f.ranks)
+/// covering `ext`, charging one lock_latency per request and per
+/// conflicting-holder revocation; acquired blocks land in rs.held.
+[[nodiscard]] SimDuration charge_locks(FileCore& f, RankState& rs, Extent ext,
                                        bool exclusive, const LockParams& p,
                                        LockStats& stats);
+
+/// Drop every lock `rs` holds on `f`.
+void release_locks(FileCore& f, RankState& rs);
+
+/// Commit `rs`'s writes on `f` at `now` (fsync): O(newly committed).
+void commit_writes(FileCore& f, RankState& rs, SimTime now);
+
+/// Commit and publish `rs`'s writes on `f` at `now` (close):
+/// O(unpublished).
+void publish_writes(FileCore& f, RankState& rs, SimTime now);
 
 /// Fail-stop crash of rank `r` against every live file: erase its
 /// non-durable writes (laminated files are globally published and always

@@ -1,6 +1,6 @@
 #pragma once
 // Shared implementation of the simulated parallel file systems: the
-// namespace, the (rank, fd) table, the traffic counters, and the one body
+// namespace, the rank-indexed (rank, fd) table, the traffic counters, and the one body
 // of every POSIX op, written once around the per-file semantic core
 // (file_core.hpp). Semantics and op bodies live in one place; the
 // backends differ only in routing, pricing and fault domains, which they
@@ -20,7 +20,6 @@
 // differential tests check exactly that routing and pricing change no
 // result (docs/topology.md).
 
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -29,6 +28,7 @@
 
 #include "pfsem/fault/plan.hpp"
 #include "pfsem/trace/path_table.hpp"
+#include "pfsem/util/fd_table.hpp"
 #include "pfsem/vfs/file_core.hpp"
 #include "pfsem/vfs/filesystem.hpp"
 #include "pfsem/vfs/pfs_types.hpp"
@@ -126,7 +126,16 @@ class PfsBase : public FileSystem {
 
  private:
   using File = detail::FileCore;
-  struct OpenFile;
+  /// One open descriptor. `slot` is its rank's entry in file->ranks, so
+  /// close/fsync and lock charging reach the caller's pending writes and
+  /// held locks without a search.
+  struct OpenFile {
+    std::shared_ptr<File> file;
+    int flags = 0;
+    Offset offset = 0;
+    SimTime t_open = 0;
+    std::uint32_t slot = 0;
+  };
 
   /// Transfer cost of `ext` (updates osts_). An active OST slowdown
   /// (fault injection) stretches it.
@@ -148,6 +157,12 @@ class PfsBase : public FileSystem {
   }
   /// The open handle (r, fd); throws "<op>: bad file descriptor".
   OpenFile& handle(Rank r, int fd, const char* op);
+  /// Slot of rank `r` in f.ranks for a new descriptor opened at `now`:
+  /// shared with r's other descriptors on the file, else a fresh one.
+  std::uint32_t attach(File& f, Rank r, SimTime now);
+  /// Release one descriptor's hold on `slot` of f.ranks (the descriptor
+  /// is already gone from open_files_); the last one frees the slot.
+  void detach(File& f, Rank r, std::uint32_t slot);
   std::shared_ptr<File> lookup(const std::string& path) const;
   /// Slot for `path` in the id-indexed file vector, interning on demand.
   /// A null slot means the name is known but no file currently exists
@@ -158,7 +173,8 @@ class PfsBase : public FileSystem {
   /// Admission of one failable metadata op: an injected fault, then the
   /// backend's routing; counts the metadata round trip once admitted.
   int admit(fault::OpClass c, Rank r, std::string_view path, SimTime now);
-  SimDuration charge_locks(File& f, Rank r, Extent ext, bool exclusive);
+  SimDuration charge_locks(File& f, std::uint32_t slot, Extent ext,
+                           bool exclusive);
   /// Amortized extent-compaction trigger (cfg_.compaction); called at
   /// commit points and after writes.
   void maybe_compact(File& f, SimTime now);
@@ -169,8 +185,10 @@ class PfsBase : public FileSystem {
   trace::PathTable names_;
   std::vector<std::shared_ptr<File>> files_;
   std::set<FileId> dirs_;
-  std::map<std::pair<Rank, int>, std::unique_ptr<OpenFile>> open_files_;
-  std::map<Rank, int> next_fd_;
+  /// Open descriptors by (rank, fd); fds count up from 3 per rank and
+  /// are never reused (next_fd_[r] is rank r's next one).
+  FdTable<OpenFile> open_files_;
+  std::vector<int> next_fd_;
   VersionTag next_version_ = 1;
   LockStats locks_;
   CompactionStats compaction_;

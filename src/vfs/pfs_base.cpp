@@ -21,13 +21,6 @@ const char* to_string(ConsistencyModel m) {
 
 using detail::WriteRecord;
 
-struct PfsBase::OpenFile {
-  std::shared_ptr<File> file;
-  int flags = 0;
-  Offset offset = 0;
-  SimTime t_open = 0;
-};
-
 PfsBase::PfsBase(const PfsConfig& cfg, std::size_t osts) : cfg_(cfg) {
   dirs_.insert(names_.intern("/"));
   osts_.requests.assign(osts, 0);
@@ -50,12 +43,49 @@ void PfsBase::degrade_read(std::vector<ReadExtent>&, Extent) {}
 // helpers
 
 PfsBase::OpenFile& PfsBase::handle(Rank r, int fd, const char* op) {
-  const auto it = open_files_.find({r, fd});
+  OpenFile* of = open_files_.find(r, fd);
   // The message is built only on failure: this runs on every data op.
-  if (it == open_files_.end()) {
-    require(false, std::string(op) + ": bad file descriptor");
+  if (of == nullptr) require(false, std::string(op) + ": bad file descriptor");
+  return *of;
+}
+
+std::uint32_t PfsBase::attach(File& f, Rank r, SimTime now) {
+  const auto row = open_files_.row(r);
+  const auto it = std::find_if(row.begin(), row.end(), [&](const auto& e) {
+    return e.value.file.get() == &f;
+  });
+  const std::uint32_t slot = it != row.end() ? it->value.slot : f.add_rank(r);
+  detail::RankState& rs = f.ranks[slot];
+  ++rs.handles;
+  rs.t_open = std::min(rs.t_open, now);
+  return slot;
+}
+
+void PfsBase::detach(File& f, Rank r, std::uint32_t slot) {
+  detail::RankState& rs = f.ranks[slot];
+  if (--rs.handles > 0) {
+    rs.t_open = kTimeNever;
+    for (const auto& e : open_files_.row(r)) {
+      if (e.value.file.get() == &f) {
+        rs.t_open = std::min(rs.t_open, e.value.t_open);
+      }
+    }
+    return;
   }
-  return *it->second;
+  // Whatever the rank still owes (a lost commit, a crash) waits for its
+  // next open of the file.
+  f.orphans.insert(f.orphans.end(), rs.unpublished.begin(),
+                   rs.unpublished.end());
+  const std::size_t last = f.ranks.size() - 1;
+  if (slot != last) {
+    f.ranks[slot] = std::move(f.ranks[last]);
+    for (auto& e : open_files_.row(f.ranks[slot].rank)) {
+      if (e.value.file.get() == &f) e.value.slot = slot;
+    }
+  }
+  f.ranks.pop_back();
+  // Most files are closed for good once their last descriptor goes.
+  if (f.ranks.empty()) std::vector<detail::RankState>().swap(f.ranks);
 }
 
 std::shared_ptr<PfsBase::File> PfsBase::lookup(const std::string& path) const {
@@ -83,19 +113,18 @@ int PfsBase::admit(fault::OpClass c, Rank r, std::string_view path,
 }
 
 // Lock cost model (strong semantics only).
-SimDuration PfsBase::charge_locks(File& f, Rank r, Extent ext, bool exclusive) {
-  return detail::charge_locks(
-      f, r, ext, exclusive, {cfg_.model, cfg_.lock_latency, cfg_.lock_block},
-      locks_);
+SimDuration PfsBase::charge_locks(File& f, std::uint32_t slot, Extent ext,
+                                  bool exclusive) {
+  return detail::charge_locks(f, f.ranks[slot], ext, exclusive,
+                              {cfg_.model, cfg_.lock_latency, cfg_.lock_block},
+                              locks_);
 }
 
 void PfsBase::maybe_compact(File& f, SimTime now) {
   if (!cfg_.compaction || !detail::should_compact(f)) return;
   SimTime floor = kTimeNever;
   if (cfg_.model == ConsistencyModel::Session) {
-    for (const auto& [key, of] : open_files_) {
-      if (of->file.get() == &f) floor = std::min(floor, of->t_open);
-    }
+    for (const auto& rs : f.ranks) floor = std::min(floor, rs.t_open);
   }
   const std::size_t folded = detail::compact_file(f, env(), now, floor);
   if (folded > 0) {
@@ -118,6 +147,7 @@ void PfsBase::set_fault_injector(fault::Injector* injector) {
 
 OpenResult PfsBase::open(Rank r, const std::string& path, int flags,
                          SimTime now) {
+  require(r >= 0, "open: bad rank");
   if (const int e = admit(fault::OpClass::Meta, r, path, now)) {
     return {-1, cfg_.meta_latency, e};
   }
@@ -133,41 +163,38 @@ OpenResult PfsBase::open(Rank r, const std::string& path, int flags,
     if (f->laminated) return {-1, cfg_.meta_latency, fault::kErofs};
     f->writes.clear();
     f->write_index.clear();
+    f->clear_pending();
     f->base.clear();
     f->base_max_end = 0;
     f->compact_watermark = 0;
     f->size = 0;
   }
-  int& next = next_fd_[r];
-  if (next < 3) next = 3;
-  const int fd = next++;
-  open_files_[{r, fd}] =
-      std::make_unique<OpenFile>(OpenFile{std::move(f), flags, 0, now});
+  const auto ri = static_cast<std::size_t>(r);
+  if (ri >= next_fd_.size()) next_fd_.resize(ri + 1, 3);
+  const int fd = next_fd_[ri]++;
+  const std::uint32_t slot = attach(*f, r, now);
+  open_files_.put(r, fd, OpenFile{std::move(f), flags, 0, now, slot});
   return {fd, cfg_.meta_latency};
 }
 
 MetaResult PfsBase::close(Rank r, int fd, SimTime now) {
   // Pin the file: if it was unlinked while open, this fd holds the last
   // reference and erase() below would free it.
-  std::shared_ptr<File> pin = handle(r, fd, "close").file;
+  const OpenFile& of = handle(r, fd, "close");
+  std::shared_ptr<File> pin = of.file;
+  const std::uint32_t slot = of.slot;
   File& f = *pin;
   // close is both a commit (paper footnote 2) and the session publish
   // point; it cannot surface an errno (the facade ignores it), so a dead
   // shard with a standby promotes silently. With no replica left the
   // commit/publish metadata update is *lost* — the fd still closes.
   const int err = route(f.path, now, /*can_fail=*/false);
-  if (err == 0) {
-    for (auto& w : f.writes) {
-      if (w.writer != r) continue;
-      if (w.t_commit == kTimeNever) w.t_commit = now;
-      if (w.t_publish == kTimeNever) w.t_publish = now;
-    }
-  }
-  // Release this rank's locks.
-  if (cfg_.model == ConsistencyModel::Strong) {
-    for (auto& [blk, lock] : f.locks) lock.holders.erase(r);
-  }
-  open_files_.erase({r, fd});
+  detail::RankState& rs = f.ranks[slot];
+  if (err == 0) detail::publish_writes(f, rs, now);
+  // Release this rank's locks (only the strong model takes any).
+  detail::release_locks(f, rs);
+  open_files_.erase(r, fd);
+  detach(f, r, slot);
   maybe_compact(f, now);
   ++locks_.meta_ops;
   return {0, cfg_.meta_latency, err};
@@ -186,7 +213,8 @@ WriteResult PfsBase::write(Rank r, int fd, std::uint64_t count, SimTime now) {
 
 WriteResult PfsBase::pwrite(Rank r, int fd, Offset off, std::uint64_t count,
                             SimTime now) {
-  File& f = *handle(r, fd, "pwrite").file;
+  const OpenFile& of = handle(r, fd, "pwrite");
+  File& f = *of.file;
   if (f.laminated) {
     // Read-only forever; EROFS is permanent, so retries never absorb it.
     return {0, off, cfg_.data_latency, fault::kErofs};
@@ -211,7 +239,8 @@ WriteResult PfsBase::pwrite(Rank r, int fd, Offset off, std::uint64_t count,
     w.t_publish = now;
   }
   f.writes.push_back(w);
-  f.index_write(static_cast<std::uint32_t>(f.writes.size() - 1));
+  f.index_write(static_cast<std::uint32_t>(f.writes.size() - 1),
+                static_cast<int>(of.slot));
   f.size = std::max(f.size, w.ext.end);
   maybe_compact(f, now);
   if (cfg_.model == ConsistencyModel::Eventual && injector_ != nullptr &&
@@ -219,7 +248,7 @@ WriteResult PfsBase::pwrite(Rank r, int fd, Offset off, std::uint64_t count,
     injector_->note_delayed_write();
   }
   SimDuration cost = cfg_.data_latency + charge_transfer(w.ext, now);
-  cost += charge_locks(f, r, w.ext, /*exclusive=*/true);
+  cost += charge_locks(f, of.slot, w.ext, /*exclusive=*/true);
   return {w.id, off, cost};
 }
 
@@ -250,7 +279,8 @@ ReadResult PfsBase::pread(Rank r, int fd, Offset off, std::uint64_t count,
     degrade_read(res.extents, {off, off + res.bytes});
   }
   res.cost = cfg_.data_latency + charge_transfer({off, off + res.bytes}, now);
-  res.cost += charge_locks(f, r, {off, off + res.bytes}, /*exclusive=*/false);
+  res.cost +=
+      charge_locks(f, of.slot, {off, off + res.bytes}, /*exclusive=*/false);
   return res;
 }
 
@@ -272,13 +302,12 @@ MetaResult PfsBase::lseek(Rank r, int fd, std::int64_t delta, int whence,
 }
 
 MetaResult PfsBase::fsync(Rank r, int fd, SimTime now) {
-  File& f = *handle(r, fd, "fsync").file;
+  const OpenFile& of = handle(r, fd, "fsync");
+  File& f = *of.file;
   if (const int e = admit(fault::OpClass::Sync, r, f.path, now)) {
     return {-1, cfg_.meta_latency, e};  // nothing committed this attempt
   }
-  for (auto& w : f.writes) {
-    if (w.writer == r && w.t_commit == kTimeNever) w.t_commit = now;
-  }
+  detail::commit_writes(f, f.ranks[of.slot], now);
   maybe_compact(f, now);
   return {0, cfg_.meta_latency};
 }
@@ -293,6 +322,7 @@ MetaResult PfsBase::laminate(const std::string& path, SimTime now) {
       if (w.t_commit == kTimeNever) w.t_commit = now;
       if (w.t_publish == kTimeNever) w.t_publish = now;
     }
+    f->clear_pending();
     f->laminated = true;
     maybe_compact(*f, now);
   }
@@ -387,8 +417,12 @@ std::vector<VersionTag> PfsBase::crash_rank(Rank r, SimTime now) {
   std::vector<VersionTag> lost = detail::apply_rank_crash(files_, r, now, env());
   // Drop the rank's descriptors *without* the close-time commit/publish —
   // a crashed process never reaches close().
-  std::erase_if(open_files_,
-                [&](const auto& kv) { return kv.first.first == r; });
+  std::vector<std::pair<std::shared_ptr<File>, std::uint32_t>> dropped;
+  for (const auto& e : open_files_.row(r)) {
+    dropped.emplace_back(e.value.file, e.value.slot);
+  }
+  open_files_.clear_row(r);
+  for (const auto& [f, slot] : dropped) detach(*f, r, slot);
   return lost;
 }
 

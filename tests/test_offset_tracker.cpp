@@ -217,6 +217,163 @@ TEST(OffsetTracker, UnknownFdThrows) {
   EXPECT_THROW(reconstruct_accesses(tb.bundle()), Error);
 }
 
+/// Message of the pfsem::Error reconstructing `tb` throws ("" if none).
+std::string reconstruct_error(const TraceBuilder& tb) {
+  try {
+    (void)reconstruct_accesses(tb.bundle());
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(OffsetTracker, UnknownFdMessagesNameTheOp) {
+  struct Case {
+    void (*add)(TraceBuilder&);
+    const char* msg;
+  };
+  const Case cases[] = {
+      {[](TraceBuilder& tb) { tb.write(0, 3, 10); },
+       "read/write on unknown fd in trace"},
+      {[](TraceBuilder& tb) { tb.read(0, 3, 10); },
+       "read/write on unknown fd in trace"},
+      {[](TraceBuilder& tb) { tb.pwrite(0, 3, 0, 10); },
+       "pread/pwrite on unknown fd in trace"},
+      {[](TraceBuilder& tb) { tb.pread(0, 3, 0, 10); },
+       "pread/pwrite on unknown fd in trace"},
+      {[](TraceBuilder& tb) { tb.lseek(0, 3, 0, trace::kSeekSet); },
+       "lseek on unknown fd in trace"},
+      {[](TraceBuilder& tb) { tb.fsync(0, 3); }, "fsync on unknown fd in trace"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.msg);
+    // Never opened, closed, and open only on another rank.
+    TraceBuilder never(2);
+    c.add(never);
+    EXPECT_NE(reconstruct_error(never).find(c.msg), std::string::npos);
+    TraceBuilder closed(2);
+    closed.open(0, 3, "f", trace::kCreate).close(0, 3);
+    c.add(closed);
+    EXPECT_NE(reconstruct_error(closed).find(c.msg), std::string::npos);
+    TraceBuilder other(2);
+    other.open(1, 3, "f", trace::kCreate);
+    c.add(other);
+    EXPECT_NE(reconstruct_error(other).find(c.msg), std::string::npos);
+  }
+}
+
+TEST(OffsetTracker, CloseOfOneRankLeavesTheOtherRanksSameFd) {
+  TraceBuilder tb(2);
+  tb.open(0, 3, "a", trace::kCreate)
+      .open(1, 3, "b", trace::kCreate)
+      .write(1, 3, 20)
+      .close(0, 3)
+      .write(1, 3, 5)  // [20,25): rank 1's offset survived
+      .close(1, 3);
+  const auto log = reconstruct_accesses(tb.bundle());
+  EXPECT_EQ(log.at("b").accesses[1].ext, (Extent{20, 25}));
+}
+
+TEST(OffsetTracker, ReopenedFdNumberStartsAFreshOffset) {
+  // A trace may reuse an fd number after close (real POSIX does); the
+  // table entry must start over, not resume the old offset.
+  TraceBuilder tb(1);
+  tb.open(0, 3, "a", trace::kCreate)
+      .write(0, 3, 100)
+      .close(0, 3)
+      .open(0, 3, "b", trace::kCreate)
+      .write(0, 3, 7)
+      .close(0, 3);
+  const auto log = reconstruct_accesses(tb.bundle());
+  EXPECT_EQ(log.at("b").accesses[0].ext, (Extent{0, 7}));
+}
+
+TEST(OffsetTracker, OpenWithOutOfRangeRankThrows) {
+  for (const Rank bad : {Rank{2}, Rank{-3}, Rank{2147483647}}) {
+    SCOPED_TRACE(bad);
+    TraceBuilder tb(2);
+    tb.open(bad, 3, "f", trace::kCreate);
+    EXPECT_NE(reconstruct_error(tb).find("open record rank out of range"),
+              std::string::npos);
+  }
+}
+
+// Property test: annotation resolves every access's (t_open, t_commit,
+// t_close) exactly as a per-access binary search of its rank's tables,
+// on random multi-rank traces sharing one file. The long traces stage
+// enough opens/commits/closes to be folded in several batches; the
+// tables must still hold every event.
+TEST(OffsetTrackerProperty, AnnotationMatchesPerAccessLookup) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    constexpr int kRanks = 5;
+    TraceBuilder tb(kRanks);
+    std::vector<int> fd(kRanks, -1);
+    std::vector<int> next_fd(kRanks, 3);
+    std::vector<std::size_t> opens(kRanks), commits(kRanks), closes(kRanks);
+    const int steps = seed <= 16 ? 300 : 12000;
+    for (int i = 0; i < steps; ++i) {
+      const auto r = static_cast<Rank>(rng.below(kRanks));
+      const auto ri = static_cast<std::size_t>(r);
+      auto& mine = fd[ri];
+      if (mine < 0) {
+        mine = next_fd[ri]++;
+        tb.open(r, mine, "f", trace::kCreate);
+        ++opens[ri];
+        continue;
+      }
+      switch (rng.below(6)) {
+        case 0:
+          tb.fsync(r, mine);
+          ++commits[ri];
+          break;
+        case 1:
+          tb.close(r, mine);
+          ++commits[ri];
+          ++closes[ri];
+          mine = -1;
+          break;
+        default: tb.pwrite(r, mine, rng.below(1000), 1 + rng.below(50));
+      }
+    }
+    const auto log = reconstruct_accesses(tb.bundle());
+    const auto& fl = log.at("f");
+    ASSERT_FALSE(fl.accesses.empty());
+    auto count = [](const auto& table, Rank r) {
+      const auto it = table.find(r);
+      return it == table.end() ? std::size_t{0} : it->second.size();
+    };
+    for (Rank r = 0; r < kRanks; ++r) {
+      const auto ri = static_cast<std::size_t>(r);
+      EXPECT_EQ(count(fl.opens, r), opens[ri]) << "seed " << seed;
+      EXPECT_EQ(count(fl.commits, r), commits[ri]) << "seed " << seed;
+      EXPECT_EQ(count(fl.closes, r), closes[ri]) << "seed " << seed;
+    }
+    auto last_at_or_before = [](const auto& table, Rank r, SimTime t,
+                                SimTime none) {
+      const auto it = table.find(r);
+      if (it == table.end()) return none;
+      const auto ub = std::upper_bound(it->second.begin(), it->second.end(), t);
+      return ub == it->second.begin() ? none : *std::prev(ub);
+    };
+    auto first_after = [](const auto& table, Rank r, SimTime t) {
+      const auto it = table.find(r);
+      if (it == table.end()) return kTimeNever;
+      const auto ub = std::upper_bound(it->second.begin(), it->second.end(), t);
+      return ub == it->second.end() ? kTimeNever : *ub;
+    };
+    for (const auto& a : fl.accesses) {
+      EXPECT_EQ(a.t_open, last_at_or_before(fl.opens, a.rank, a.t, 0))
+          << "seed " << seed;
+      EXPECT_EQ(a.t_commit, first_after(fl.commits, a.rank, a.t))
+          << "seed " << seed;
+      EXPECT_EQ(a.t_close, first_after(fl.closes, a.rank, a.t))
+          << "seed " << seed;
+    }
+    EXPECT_TRUE(fl.events.empty()) << "annotation folds every staged event";
+  }
+}
+
 // Property test: a random legal op sequence reconstructs to exactly the
 // offsets a reference file-descriptor model produces.
 TEST(OffsetTrackerProperty, MatchesReferenceModelOnRandomSequences) {

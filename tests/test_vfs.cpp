@@ -266,6 +266,125 @@ TEST(Mechanics, BadFdThrows) {
   });
 }
 
+// --- the rank-indexed (rank, fd) table -----------------------------------
+
+/// Message of the pfsem::Error `fn` throws ("" if it throws none).
+template <class Fn>
+std::string error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FdTable, SameFdOnTwoRanksStaysIndependent) {
+  on_each_backend(with_model(ConsistencyModel::Strong), [&](auto& fs) {
+    const int a = fs.open(0, "a", kCreate | kRdWr, 0).fd;
+    const int b = fs.open(1, "b", kCreate | kRdWr, 0).fd;
+    ASSERT_EQ(a, 3);
+    ASSERT_EQ(b, 3);
+    (void)fs.write(0, a, 100, 1);
+    (void)fs.write(1, b, 40, 2);
+    EXPECT_EQ(fs.lseek(0, a, 0, trace::kSeekCur, 3).ret, 100);
+    EXPECT_EQ(fs.lseek(1, b, 0, trace::kSeekCur, 3).ret, 40);
+    EXPECT_EQ(fs.close(0, a, 4).ret, 0);
+    // Rank 1's fd 3 survives rank 0's close of its own fd 3.
+    EXPECT_EQ(fs.write(1, b, 10, 5).offset, 40u);
+    EXPECT_EQ(fs.file_size("b"), 50u);
+    EXPECT_THROW(fs.write(0, a, 10, 6), Error);
+  });
+}
+
+TEST(FdTable, FdsAreMonotonicAndNeverReused) {
+  on_each_backend(with_model(ConsistencyModel::Commit), [&](auto& fs) {
+    EXPECT_EQ(fs.open(2, "f", kCreate | kRdWr, 0).fd, 3);
+    EXPECT_EQ(fs.open(2, "f", kRdWr, 1).fd, 4);
+    EXPECT_EQ(fs.close(2, 3, 2).ret, 0);
+    EXPECT_EQ(fs.open(2, "g", kCreate | kRdWr, 3).fd, 5);
+    EXPECT_EQ(fs.close(2, 4, 4).ret, 0);
+    EXPECT_EQ(fs.close(2, 5, 5).ret, 0);
+    EXPECT_EQ(fs.open(2, "f", kRdWr, 6).fd, 6);
+    // Another rank's numbering starts at 3 regardless.
+    EXPECT_EQ(fs.open(7, "f", kRdWr, 7).fd, 3);
+  });
+}
+
+TEST(FdTable, CrashDropsOnlyThatRanksDescriptors) {
+  on_each_backend(with_model(ConsistencyModel::Commit), [&](auto& fs) {
+    const int a = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    const int b = fs.open(1, "f", kRdWr, 1).fd;
+    const int c = fs.open(0, "g", kCreate | kRdWr, 2).fd;
+    const auto w = fs.pwrite(0, a, 0, 10, 3).version;
+    (void)fs.pwrite(1, b, 100, 10, 4);
+    EXPECT_EQ(fs.crash_rank(0, 5), std::vector<VersionTag>{w});
+    EXPECT_THROW(fs.pwrite(0, a, 0, 1, 6), Error);
+    EXPECT_THROW(fs.close(0, c, 6), Error);
+    // Rank 1 keeps its descriptor, and its close still publishes.
+    EXPECT_EQ(fs.close(1, b, 7).ret, 0);
+    const int d = fs.open(2, "f", kRdOnly, 8).fd;
+    const auto res = fs.pread(2, d, 0, 200, 9);
+    EXPECT_EQ(tag_at(res.extents, 0), 0u) << "crashed rank's write is lost";
+    EXPECT_NE(tag_at(res.extents, 105), 0u);
+    // A restarted rank 0 keeps counting from where it was.
+    EXPECT_EQ(fs.open(0, "f", kRdWr, 10).fd, 5);
+  });
+}
+
+TEST(FdTable, ClosedOrUnknownFdNamesTheOp) {
+  on_each_backend(with_model(ConsistencyModel::Strong), [&](auto& fs) {
+    const int fd = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    EXPECT_EQ(fs.close(0, fd, 1).ret, 0);
+    for (const int bad : {fd, 42}) {
+      SCOPED_TRACE(bad);
+      auto has = [](const std::string& what, const std::string& msg) {
+        return what.find(msg) != std::string::npos;
+      };
+      EXPECT_TRUE(has(error_of([&] { (void)fs.write(0, bad, 1, 2); }),
+                      "write: bad file descriptor"));
+      EXPECT_TRUE(has(error_of([&] { (void)fs.pwrite(0, bad, 0, 1, 2); }),
+                      "pwrite: bad file descriptor"));
+      EXPECT_TRUE(has(error_of([&] { (void)fs.read(0, bad, 1, 2); }),
+                      "read: bad file descriptor"));
+      EXPECT_TRUE(has(error_of([&] { (void)fs.pread(0, bad, 0, 1, 2); }),
+                      "pread: bad file descriptor"));
+      EXPECT_TRUE(has(error_of([&] { (void)fs.lseek(0, bad, 0, 0, 2); }),
+                      "lseek: bad file descriptor"));
+      EXPECT_TRUE(has(error_of([&] { (void)fs.fsync(0, bad, 2); }),
+                      "fsync: bad file descriptor"));
+      EXPECT_TRUE(has(error_of([&] { (void)fs.ftruncate(0, bad, 0, 2); }),
+                      "ftruncate: bad file descriptor"));
+      EXPECT_TRUE(has(error_of([&] { (void)fs.close(0, bad, 2); }),
+                      "close: bad file descriptor"));
+    }
+    // A rank that never opened anything has no row at all.
+    EXPECT_TRUE(error_of([&] { (void)fs.close(9, 3, 3); })
+                    .find("close: bad file descriptor") != std::string::npos);
+  });
+}
+
+TEST(FdTable, SecondDescriptorKeepsTheRanksPendingWrites) {
+  // Two descriptors of one rank on one file share its pending writes: a
+  // close through either publishes all of them (close is per process).
+  on_each_backend(with_model(ConsistencyModel::Session), [&](auto& fs) {
+    const int a = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+    const int b = fs.open(0, "f", kRdWr, 1).fd;
+    const auto v1 = fs.pwrite(0, a, 0, 10, 2).version;
+    const auto v2 = fs.pwrite(0, b, 10, 10, 3).version;
+    EXPECT_EQ(fs.close(0, b, 4).ret, 0);
+    const int r = fs.open(1, "f", kRdOnly, 5).fd;
+    const auto res = fs.pread(1, r, 0, 20, 6);
+    EXPECT_EQ(tag_at(res.extents, 0), v1);
+    EXPECT_EQ(tag_at(res.extents, 10), v2);
+    // The still-open descriptor keeps working and owes new writes.
+    const auto v3 = fs.pwrite(0, a, 20, 10, 7).version;
+    EXPECT_EQ(fs.close(0, a, 8).ret, 0);
+    const int r2 = fs.open(1, "f", kRdOnly, 9).fd;
+    EXPECT_EQ(tag_at(fs.pread(1, r2, 0, 30, 10).extents, 25), v3);
+  });
+}
+
 TEST(Mechanics, OpenMissingWithoutCreateFails) {
   on_each_backend(with_model(ConsistencyModel::Strong), [&](auto& fs) {
     EXPECT_EQ(fs.open(0, "nope", kRdOnly, 0).fd, -1);
