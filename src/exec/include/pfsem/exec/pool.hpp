@@ -47,11 +47,15 @@ namespace pfsem::exec {
 /// Attach an observability context to every pool created afterwards
 /// (nullptr = off, the default). A global because pools are transient —
 /// constructed deep inside the analysis functions — and the pool.*
-/// metrics are declared Volatile anyway. Workers tally into private
-/// per-participant slots; only the calling thread touches the registry
-/// and tracer (after the job's completion barrier), so the non-thread-
-/// safe registry contract holds. Pool spans carry wall-clock timestamps
-/// relative to the Run's creation, keyed by worker index, not thread id.
+/// metrics are declared Volatile anyway. They are counts that repeat
+/// exactly at a fixed thread count (jobs, items, workers); the per-worker
+/// steal count is a scheduling race, so it is reported only as the
+/// `steals` arg of each worker's `busy` span, never in the registry.
+/// Workers tally into private per-participant slots; only the calling
+/// thread touches the registry and tracer (after the job's completion
+/// barrier), so the non-thread-safe registry contract holds. Pool spans
+/// carry wall-clock timestamps relative to the Run's creation, keyed by
+/// worker index, not thread id.
 void set_observer(obs::Run* run);
 
 class ThreadPool {

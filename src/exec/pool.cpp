@@ -24,7 +24,8 @@ void note_sequential(obs::Run* obs, std::size_t n, std::int64_t t0,
   }
   if (obs->tracing()) {
     obs->tracer.complete({obs::kPidPool, 0}, "busy", t0, t1 - t0,
-                         {"items", static_cast<std::int64_t>(n)});
+                         {"items", static_cast<std::int64_t>(n)},
+                         {"steals", 0});
   }
 }
 
@@ -156,7 +157,6 @@ void ThreadPool::publish_stats() {
     const WorkerStats& s = stats_[w];
     if (s.items == 0) continue;
     obs->metrics.add(obs->pool_items, s.items);
-    obs->metrics.add(obs->pool_steals, s.steals);
     if (obs->tracing() && s.active) {
       obs->tracer.complete({obs::kPidPool, static_cast<std::int32_t>(w)},
                            "busy", s.t0, s.t1 - s.t0,

@@ -12,8 +12,13 @@
 // thread ids, or scheduling races — so the stable dump is byte-identical
 // across `--threads N` and `--capture fast|reference` and can itself be
 // diff-tested (tests/test_obs.cpp). Implementation-dependent values
-// (scheduler-tier hit counts, pool steal counts, arena occupancy) must
+// (scheduler-tier hit counts, pool job counts, arena occupancy) must
 // be registered `Stability::Volatile`; dump() excludes them unless asked.
+// A Volatile metric may vary with --threads, the capture path and stream
+// mode, but it still repeats exactly for a fixed configuration on a fixed
+// host, so obs-diff on two identical runs passes. The outcome of a race
+// (which worker stole which range) is neither: it belongs on trace spans,
+// never in the registry.
 //
 // The registry is not thread-safe: updates must come from one thread at
 // a time (the DES simulation is single-threaded; the analysis pool

@@ -117,11 +117,13 @@ struct Run {
   Counter fault_failovers;        ///< standby MDS replicas promoted (stable)
   Counter fault_redirects;        ///< client ops re-sent after EHOSTDOWN (stable)
   Counter fault_degraded_reads;   ///< reads with dead-OST holes (stable)
-  // exec::ThreadPool (wall-clock side; never in the stable dump)
-  Counter pool_jobs;    ///< parallel_for invocations (volatile)
-  Counter pool_items;   ///< loop indices executed (volatile)
-  Counter pool_steals;  ///< ranges stolen from another deque (volatile)
-  Gauge pool_workers;   ///< participants of the widest pool seen (volatile)
+  // exec::ThreadPool (never in the stable dump). Volatile because they
+  // vary with --threads, yet they repeat exactly at a fixed one; the
+  // per-worker steal count is a race outcome, so it rides only on the
+  // trace's pool `busy` spans.
+  Counter pool_jobs;   ///< parallel_for invocations (volatile)
+  Counter pool_items;  ///< loop indices executed (volatile)
+  Gauge pool_workers;  ///< participants of the widest pool seen (volatile)
 };
 
 /// Compact human-readable summary of a Run — the block appended to the

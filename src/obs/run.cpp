@@ -67,7 +67,6 @@ Run::Run(Config c)
 
   pool_jobs = metrics.counter("pool.jobs", V);
   pool_items = metrics.counter("pool.items", V);
-  pool_steals = metrics.counter("pool.steals", V);
   pool_workers = metrics.gauge("pool.workers", V);
 }
 
@@ -169,8 +168,9 @@ std::string summary(const Run& run) {
   }
   // Deliberately nothing volatile here: the summary rides inside
   // analysis output whose byte-identity across --threads is a core
-  // guarantee. Pool activity (jobs/items/steals, per-worker busy
-  // spans) lives in the Chrome trace and the include_volatile dump.
+  // guarantee. Pool activity lives in the include_volatile dump
+  // (jobs/items/workers) and the Chrome trace (per-worker busy spans
+  // with their items and steals).
   return os.str();
 }
 

@@ -7,14 +7,16 @@
 //  2. Observability is a pure observer: a run with obs wired in produces
 //     a byte-identical trace bundle to the same run without it.
 //
-// Plus: histogram bucket edge cases, spans surviving fault-injected
-// crash runs, and the trace_event JSON schema keys.
+// Plus: the full dump (volatile section included) repeating exactly at a
+// fixed configuration, histogram bucket edge cases, spans surviving
+// fault-injected crash runs, and the trace_event JSON schema keys.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "pfsem/apps/registry.hpp"
 #include "pfsem/core/conflict.hpp"
@@ -23,6 +25,8 @@
 #include "pfsem/exec/pool.hpp"
 #include "pfsem/fault/plan.hpp"
 #include "pfsem/iolib/posix_io.hpp"
+#include "pfsem/obs/diff.hpp"
+#include "pfsem/obs/export.hpp"
 #include "pfsem/obs/obs.hpp"
 #include "pfsem/trace/serialize.hpp"
 #include "pfsem/util/error.hpp"
@@ -119,10 +123,8 @@ TEST(Tracer, ChromeJsonCarriesRequiredKeys) {
 
 // --- the determinism contract ---------------------------------------------
 
-/// One full simulate + analyze pass with observability on; returns the
-/// stable metrics dump.
-std::string stable_dump(int threads, bool reference) {
-  obs::Run run(obs::Config{.metrics = true, .tracing = false});
+/// One full simulate + analyze pass with observability wired into `run`.
+void observed_pass(obs::Run& run, int threads, bool reference) {
   const auto* info = apps::find_app("pF3D-IO");
   EXPECT_NE(info, nullptr);
   apps::AppConfig cfg;
@@ -142,7 +144,12 @@ std::string stable_dump(int threads, bool reference) {
   const auto pairs = core::detect_file_overlaps(log, {}, threads);
   (void)core::detect_conflicts(log, pairs, {.threads = threads});
   exec::set_observer(nullptr);
+}
 
+/// observed_pass's stable metrics dump plus the human-facing summary.
+std::string stable_dump(int threads, bool reference) {
+  obs::Run run(obs::Config{.metrics = true, .tracing = false});
+  observed_pass(run, threads, reference);
   std::ostringstream os;
   run.metrics.dump(os);
   // The human-facing summary rides inside analysis output whose
@@ -162,6 +169,57 @@ TEST(ObsDeterminism, StableDumpIdenticalAcrossThreadsAndCapture) {
   for (const int threads : {1, 4}) {
     EXPECT_EQ(stable_dump(threads, /*reference=*/true), baseline)
         << "reference capture, threads=" << threads;
+  }
+}
+
+// Volatile metrics may vary with --threads and the capture path, but at
+// a fixed configuration they repeat exactly: a race outcome (which worker
+// stole which range) never reaches the registry, so obs-diff on two
+// identical runs passes on any number of cores.
+TEST(ObsDeterminism, FullDumpRepeatsAtFixedConfiguration) {
+  struct Export {
+    std::string dump, json;
+  };
+  const auto once = [] {
+    obs::Run run(obs::Config{.metrics = true, .tracing = false});
+    observed_pass(run, /*threads=*/4, /*reference=*/false);
+    std::ostringstream dump, json;
+    run.metrics.dump(dump, /*include_volatile=*/true);
+    obs::write_obs_json(json, run, {{"app", "pF3D-IO"}});
+    return Export{dump.str(), json.str()};
+  };
+  const Export first = once();
+  EXPECT_NE(first.dump.find("counter pool.items"), std::string::npos);
+  for (int rep = 1; rep < 8; ++rep) {
+    const Export again = once();
+    EXPECT_EQ(again.dump, first.dump) << "repeat " << rep;
+    const obs::DiffResult d = obs::diff_obs_json(first.json, again.json);
+    EXPECT_TRUE(d.ok) << "repeat " << rep << ": "
+                      << (d.regressions.empty() ? "" : d.regressions.front());
+  }
+}
+
+// With the steal count out of the registry, the pool's busy spans are the
+// only place it is reported: every one carries both items and steals, on
+// the inline (threads=1) path as well as the parallel one.
+TEST(ObsDeterminism, PoolBusySpansCarryItemsAndSteals) {
+  for (const int threads : {1, 4}) {
+    obs::Run run(obs::Config{.metrics = true, .tracing = true});
+    observed_pass(run, threads, /*reference=*/false);
+    int busy = 0;
+    for (const auto& e : run.tracer.events()) {
+      if (e.pid != obs::kPidPool || std::string_view(e.name) != "busy") {
+        continue;
+      }
+      ++busy;
+      ASSERT_NE(e.a0.key, nullptr);
+      ASSERT_NE(e.a1.key, nullptr);
+      EXPECT_EQ(std::string_view(e.a0.key), "items");
+      EXPECT_EQ(std::string_view(e.a1.key), "steals");
+      EXPECT_GT(e.a0.value, 0);
+      EXPECT_GE(e.a1.value, 0);
+    }
+    EXPECT_GT(busy, 0) << "threads=" << threads;
   }
 }
 
