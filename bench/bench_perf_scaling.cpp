@@ -16,10 +16,11 @@
 //                  adversarial long-lived-read log — the single-thread
 //                  algorithmic win;
 //   reconstruction interned vs string-keyed record grouping;
-//   capture        bucketed-ring scheduler + per-rank arenas vs the
-//                  retained reference capture path on an adversarial
-//                  delay(0)-heavy workload (--check floor: >=2x, and the
-//                  two bundles must be byte-identical);
+//   capture        the capture path (heap scheduler + collector) on an
+//                  adversarial delay(0)-heavy workload: seconds and
+//                  events dispatched, the baseline a faster scheduler is
+//                  measured against (--check: two runs must produce
+//                  byte-identical compact bytes);
 //   run_to_report  a registered app (FLASH-fbs) driven end to end —
 //                  capture + full report — at ranks 64/256/1024, on both
 //                  the materialized and the chunked streaming pipeline,
@@ -30,9 +31,6 @@
 //                  131072-rank windowed pF3D-IO point that must complete
 //                  under the 65536-rank point's RSS — twice the ranks in
 //                  less memory).
-//   capture_crossover  FLASH-fbs capture wall time, fast vs reference
-//                  pair, at small rank counts — locates the break-even
-//                  that CaptureMode::Auto's rank threshold encodes.
 //   memory_scaling full-log vs windowed analysis peak RSS on a synthetic
 //                  phased N-N checkpoint trace fed straight into the
 //                  analyzer, at ranks 1024/4096/16384 in fresh
@@ -88,8 +86,6 @@
 #include "pfsem/core/overlap.hpp"
 #include "pfsem/exec/pool.hpp"
 #include "pfsem/obs/obs.hpp"
-#include "pfsem/sim/engine.hpp"
-#include "pfsem/trace/collector.hpp"
 #include "pfsem/util/rng.hpp"
 
 namespace {
@@ -249,14 +245,13 @@ std::size_t group_by_id(const trace::TraceBundle& bundle) {
 using pfsem_bench::CaptureRun;
 using pfsem_bench::run_capture;
 
-/// One end-to-end run→report point: capture FLASH-fbs at `ranks` on the
-/// given capture path, then (fast path only) the full analysis + report.
+/// One end-to-end run→report point: capture FLASH-fbs at `ranks`, then
+/// the full analysis + report.
 struct RunToReportPoint {
   std::string app = "FLASH-fbs";
   int ranks = 0;
   std::size_t records = 0;
   double capture_seconds = 0;
-  double capture_reference_seconds = 0;
   double analysis_seconds = 0;
   // Chunked streaming pipeline (same workload, spill → merge → stream
   // analysis) plus peak RSS for both pipelines, each measured in a fresh
@@ -618,12 +613,6 @@ RunToReportPoint run_to_report(const apps::AppInfo& info, int ranks,
       best_of(reps, [&] { bundle = apps::run_app(info, cfg); });
   pt.records = bundle.records.size();
 
-  apps::AppConfig ref_cfg = cfg;
-  ref_cfg.scheduler = sim::SchedulerKind::Heap;
-  ref_cfg.capture = trace::CaptureMode::Reference;
-  pt.capture_reference_seconds =
-      best_of(reps, [&] { (void)apps::run_app(info, ref_cfg); });
-
   std::string report_text;
   pt.analysis_seconds = best_of(reps, [&] {
     report_text = materialized_report_text(bundle);
@@ -757,38 +746,21 @@ int run(bool check, bool scale64k, const std::string& out_path,
             << " s   interned " << interned_s << " s   speedup "
             << intern_speedup << "x\n";
 
-  // --- experiment 4: capture path — bucketed+arenas vs reference --------
-  // The reference pair (heap scheduler + single global emitter) is the
-  // retained pre-PR capture path; the fast pair must produce the exact
-  // same compact bytes and beat it >=2x on this delay(0)-heavy workload.
+  // --- experiment 4: capture path on a delay(0)-heavy schedule ---------
+  // Seconds and events are the baseline for scheduler work; two
+  // independent runs must emit the exact same compact bytes.
   const int cap_roots = check ? 32'768 : 65'536;
   const int cap_rounds = check ? 8 : 16;
-  // Interleave the repetitions (fast, reference, fast, reference, ...) and
-  // keep each side's best so a transient load spike on a shared host hits
-  // both paths instead of biasing one of them.
-  CaptureRun cap_fast, cap_ref;
-  for (int rep = 0; rep < (check ? 4 : reps); ++rep) {
-    auto f = run_capture(sim::SchedulerKind::Bucketed, trace::CaptureMode::Fast,
-                         cap_roots, cap_rounds, 1);
-    auto r = run_capture(sim::SchedulerKind::Heap, trace::CaptureMode::Reference,
-                         cap_roots, cap_rounds, 1);
-    if (rep == 0) {
-      cap_fast = std::move(f);
-      cap_ref = std::move(r);
-    } else {
-      cap_fast.seconds = std::min(cap_fast.seconds, f.seconds);
-      cap_ref.seconds = std::min(cap_ref.seconds, r.seconds);
-    }
-  }
-  if (cap_fast.compact_bytes != cap_ref.compact_bytes) {
-    std::cerr << "FAIL: fast and reference capture paths produced "
-                 "different bundles\n";
+  const CaptureRun cap = run_capture(cap_roots, cap_rounds, check ? 2 : reps);
+  const CaptureRun cap_again = run_capture(cap_roots, cap_rounds, 1);
+  if (cap.compact_bytes != cap_again.compact_bytes ||
+      cap.events != cap_again.events) {
+    std::cerr << "FAIL: two runs of the capture kernel produced different "
+                 "bundles\n";
     return 1;
   }
-  const double capture_speedup = cap_ref.seconds / cap_fast.seconds;
-  std::cout << "capture path (" << cap_fast.events << " events): bucketed+arenas "
-            << cap_fast.seconds << " s   heap+global " << cap_ref.seconds
-            << " s   speedup " << capture_speedup << "x\n";
+  std::cout << "capture path (" << cap.events << " events): " << cap.seconds
+            << " s\n";
 
   // --- experiment 5: end-to-end run -> report on a registered app -------
   const auto* flash = apps::find_app("FLASH-fbs");
@@ -810,8 +782,7 @@ int run(bool check, bool scale64k, const std::string& out_path,
     }
     std::cout << "run_to_report FLASH-fbs ranks=" << pt.ranks << "  records="
               << pt.records << "  capture " << pt.capture_seconds
-              << " s (reference " << pt.capture_reference_seconds
-              << " s)   analysis " << pt.analysis_seconds
+              << " s   analysis " << pt.analysis_seconds
               << " s   stream capture " << pt.stream_capture_seconds
               << " s + analysis " << pt.stream_analysis_seconds
               << " s (spill " << pt.spill_bytes << " B, rss "
@@ -998,44 +969,6 @@ int run(bool check, bool scale64k, const std::string& out_path,
     }
   }
 
-  // --- experiment 5b: capture crossover — where Auto's threshold sits ----
-  // Below the crossover the fast path's per-rank arenas and bucket ring
-  // cost more to set up than they save; CaptureMode::Auto switches to the
-  // reference pair below kAutoCaptureRankThreshold ranks. Measure the pair
-  // across the curve so the constant is data, not folklore (the big
-  // points are single-rep: at 4K+ ranks one capture is seconds long and
-  // the ratio, not the absolute time, is what the curve needs).
-  struct CrossoverPoint {
-    int ranks;
-    double fast_seconds;
-    double reference_seconds;
-  };
-  std::vector<CrossoverPoint> crossover;
-  for (const int ranks : check ? std::vector<int>{16, 128}
-                               : std::vector<int>{16, 64, 256, 1024, 4096,
-                                                  8192}) {
-    apps::AppConfig fast_cfg;
-    fast_cfg.nranks = ranks;
-    fast_cfg.ranks_per_node = std::max(1, ranks / 8);
-    apps::AppConfig ref_cfg = fast_cfg;
-    ref_cfg.scheduler = sim::SchedulerKind::Heap;
-    ref_cfg.capture = trace::CaptureMode::Reference;
-    // Interleaved best-of, same reasoning as experiment 4.
-    double fast_s = 1e300, ref_s = 1e300;
-    const int xreps = check ? 2 : (ranks >= 4'096 ? 1 : 3);
-    for (int rep = 0; rep < xreps; ++rep) {
-      double t0 = now_seconds();
-      (void)apps::run_app(*flash, fast_cfg);
-      fast_s = std::min(fast_s, now_seconds() - t0);
-      t0 = now_seconds();
-      (void)apps::run_app(*flash, ref_cfg);
-      ref_s = std::min(ref_s, now_seconds() - t0);
-    }
-    crossover.push_back({ranks, fast_s, ref_s});
-    std::cout << "capture_crossover ranks=" << ranks << "  fast " << fast_s
-              << " s   reference " << ref_s << " s\n";
-  }
-
   // --- experiment 6: cluster failover — degraded vs healthy -------------
   // The same workload on the multi-server backend, healthy and with one
   // MDS plus one OST crashed early in the run. Time-to-recover shows up
@@ -1172,13 +1105,6 @@ int run(bool check, bool scale64k, const std::string& out_path,
                 << "x below the 1.5x bound\n";
       return 1;
     }
-    // The capture floor is algorithmic too: O(1) bucket ops vs O(log n)
-    // heap ops on a ~16Ki-deep pending set, so it holds on any host.
-    if (capture_speedup < 2.0) {
-      std::cerr << "FAIL: capture-path speedup " << capture_speedup
-                << "x below the 2x bound\n";
-      return 1;
-    }
     if (cores >= 2) {
       const double s2 = points[0].seconds / points[1].seconds;
       if (s2 < 1.0) {
@@ -1237,10 +1163,8 @@ int run(bool check, bool scale64k, const std::string& out_path,
      << "  \"capture_path\": {\n"
      << "    \"roots\": " << cap_roots << ",\n"
      << "    \"rounds\": " << cap_rounds << ",\n"
-     << "    \"events\": " << cap_fast.events << ",\n"
-     << "    \"bucketed_arena_seconds\": " << cap_fast.seconds << ",\n"
-     << "    \"heap_global_seconds\": " << cap_ref.seconds << ",\n"
-     << "    \"speedup\": " << capture_speedup << "\n"
+     << "    \"events\": " << cap.events << ",\n"
+     << "    \"seconds\": " << cap.seconds << "\n"
      << "  },\n"
      << "  \"run_to_report\": {\n"
      << "    \"app\": \"FLASH-fbs\",\n"
@@ -1254,7 +1178,6 @@ int run(bool check, bool scale64k, const std::string& out_path,
        << ", \"windowed\": " << (pt.windowed ? "true" : "false");
     if (!pt.streaming_only) {
       os << ", \"capture_seconds\": " << pt.capture_seconds
-         << ", \"capture_reference_seconds\": " << pt.capture_reference_seconds
          << ", \"analysis_seconds\": " << pt.analysis_seconds;
     }
     os << ", \"stream_capture_seconds\": " << pt.stream_capture_seconds
@@ -1304,19 +1227,6 @@ int run(bool check, bool scale64k, const std::string& out_path,
        << ", \"windowed_live_peak_files\": " << ms_win_128k.live_peak << "}";
   }
   os << "\n"
-     << "  },\n"
-     << "  \"capture_crossover\": {\n"
-     << "    \"app\": \"FLASH-fbs\",\n"
-     << "    \"auto_threshold_ranks\": "
-     << apps::kAutoCaptureRankThreshold << ",\n"
-     << "    \"points\": [";
-  for (std::size_t i = 0; i < crossover.size(); ++i) {
-    const auto& pt = crossover[i];
-    os << (i ? ", " : "") << "{\"ranks\": " << pt.ranks
-       << ", \"fast_seconds\": " << pt.fast_seconds
-       << ", \"reference_seconds\": " << pt.reference_seconds << "}";
-  }
-  os << "]\n"
      << "  },\n"
      << "  \"obs_overhead\": {\n"
      << "    \"app\": \"FLASH-fbs\",\n"

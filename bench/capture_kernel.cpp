@@ -21,16 +21,15 @@ double now_seconds() {
 
 }  // namespace
 
-CaptureRun run_capture(sim::SchedulerKind kind, trace::CaptureMode mode,
-                       int roots, int rounds, int reps) {
+CaptureRun run_capture(int roots, int rounds, int reps) {
   constexpr int kRanks = 64;
   CaptureRun out;
   trace::TraceBundle bundle;
   double best = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     const double t0 = now_seconds();
-    sim::Engine engine(kind);
-    trace::Collector collector(kRanks, {}, mode);
+    sim::Engine engine;
+    trace::Collector collector(kRanks);
     collector.reserve(kRanks, static_cast<std::size_t>(roots) *
                                   static_cast<std::size_t>(rounds) / kRanks);
     std::vector<FileId> files;
@@ -45,8 +44,8 @@ CaptureRun run_capture(sim::SchedulerKind kind, trace::CaptureMode mode,
         // Each emitted record rides on a burst of fairness round-trips —
         // the shape of contended collective I/O, where ranks yield many
         // times per operation. Almost all delays are 0 with a sprinkle of
-        // near-ring and far-heap delays so both tiers stay live (the mix
-        // is deterministic per task), keeping the pending set ~roots deep.
+        // short and long delays (the mix is deterministic per task),
+        // keeping the pending set ~roots deep.
         for (int s = 0; s < 8; ++s) {
           SimDuration d = 0;
           const int step = i * 8 + s;

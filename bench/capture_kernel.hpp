@@ -1,9 +1,9 @@
 // The capture-path microbenchmark kernel, compiled in its own translation
 // unit on purpose: the timed region is a coroutine-heavy inner loop whose
 // codegen (inlining, layout) must not drift as the driver TU
-// (bench_perf_scaling.cpp) grows. Keeping it isolated makes the
-// fast-vs-reference speedup a property of the library, not of how big the
-// benchmark driver happens to be this month.
+// (bench_perf_scaling.cpp) grows. Keeping it isolated makes its timing
+// a property of the library, not of how big bench_perf_scaling.cpp
+// happens to be this month.
 #pragma once
 
 #include <cstdint>
@@ -21,13 +21,11 @@ struct CaptureRun {
 };
 
 /// Adversarial delay(0)-heavy capture workload: `roots` coroutines (spread
-/// over 64 collector ranks) each do `rounds` fairness round-trips, almost
-/// all at the current timestamp — the pending-event set stays ~`roots`
-/// deep, so the reference heap pays O(log roots) with cold cache lines on
-/// every event while the bucket ring pays O(1) — and emit one pwrite
-/// record per round through the collector under test.
-CaptureRun run_capture(pfsem::sim::SchedulerKind kind,
-                       pfsem::trace::CaptureMode mode, int roots, int rounds,
-                       int reps);
+/// over 64 collector ranks) each do `rounds` bursts of fairness
+/// round-trips, almost all at the current timestamp — the pending-event
+/// set stays ~`roots` deep, so the scheduler's heap pays O(log roots) with
+/// cold cache lines on every event — and emit one pwrite record per burst
+/// through the collector. Best of `reps` wall times.
+CaptureRun run_capture(int roots, int rounds, int reps);
 
 }  // namespace pfsem_bench

@@ -6,22 +6,6 @@
 
 namespace pfsem::apps {
 
-namespace {
-
-/// Resolve CaptureMode::Auto into a concrete capture/scheduler pair
-/// before anything reads the config (the collector refuses Auto).
-AppConfig resolve_capture(AppConfig cfg) {
-  if (cfg.capture == trace::CaptureMode::Auto) {
-    cfg.capture = resolved_capture_mode(cfg.capture, cfg.nranks);
-    cfg.scheduler = cfg.capture == trace::CaptureMode::Reference
-                        ? sim::SchedulerKind::Heap
-                        : sim::SchedulerKind::Bucketed;
-  }
-  return cfg;
-}
-
-}  // namespace
-
 Harness::Harness(AppConfig cfg, vfs::PfsConfig pfs_cfg,
                  std::vector<sim::ClockModel> clocks)
     : Harness(cfg, std::make_unique<vfs::Pfs>(pfs_cfg), std::move(clocks)) {
@@ -40,9 +24,8 @@ Harness::Harness(AppConfig cfg, vfs::ClusterConfig cluster_cfg,
 
 Harness::Harness(AppConfig cfg, std::unique_ptr<vfs::FileSystem> fs,
                  std::vector<sim::ClockModel> clocks)
-    : cfg_(resolve_capture(cfg)),
-      collector_(cfg_.nranks, std::move(clocks), cfg_.capture),
-      engine_(cfg_.scheduler),
+    : cfg_(cfg),
+      collector_(cfg_.nranks, std::move(clocks)),
       fs_(std::move(fs)),
       world_(engine_, collector_,
              mpi::WorldConfig{.nranks = cfg_.nranks,
@@ -54,19 +37,16 @@ Harness::Harness(AppConfig cfg, std::unique_ptr<vfs::FileSystem> fs,
     collector_.set_observer(cfg_.obs);
   }
   // Streaming must be armed before reserve(): the collector caps the
-  // arena pre-size to one chunk when it knows records stream out.
+  // pre-size to one chunk when it knows records stream out.
   if (cfg_.stream_sink != nullptr) {
     collector_.enable_streaming(cfg_.stream_sink, cfg_.stream_chunk_records);
   }
-  // Pre-size the collector's per-rank arenas. The registered app models
+  // Pre-size the collector's record vector. The registered app models
   // emit a few records per rank per time step (open/write/close plus
-  // library bookkeeping), so steps-derived guesses land within a small
-  // factor; an explicit hint wins when the caller knows better.
-  const std::size_t hint =
-      cfg_.ops_per_rank_hint != 0
-          ? cfg_.ops_per_rank_hint
-          : static_cast<std::size_t>(std::max(cfg_.steps, 1)) * 4 + 32;
-  collector_.reserve(cfg_.nranks, hint);
+  // library bookkeeping), so a steps-derived guess lands within a small
+  // factor.
+  collector_.reserve(cfg_.nranks,
+                     static_cast<std::size_t>(std::max(cfg_.steps, 1)) * 4 + 32);
   rank_rngs_.reserve(static_cast<std::size_t>(cfg.nranks));
   for (int r = 0; r < cfg.nranks; ++r) {
     rank_rngs_.emplace_back(cfg.seed * 1000003 + static_cast<std::uint64_t>(r));

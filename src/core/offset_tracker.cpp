@@ -127,7 +127,7 @@ AccessLog reconstruct_accesses(const trace::TraceBundle& bundle,
   // Adopt the bundle's intern table: record FileIds are store FileIds.
   log.paths = bundle.paths;
   log.files.resize(log.paths.size());
-  // Column hints from the fast capture path: pre-size each file's access
+  // Column hints from the collector: pre-size each file's access
   // column so the grouping below appends without regrowth. The hints
   // count every record touching the file (opens/commits included), so
   // they are a slight overestimate of the data-op count — fine for

@@ -7,10 +7,10 @@
 //
 // Determinism contract: everything under the "stable" key derives from
 // simulated time and deterministic event counts only, so that section is
-// byte-identical across --threads, --capture fast|reference, and
-// --stream/materialized (tests cut the document at the "volatile" marker
-// and byte-compare). The manifest deliberately sits OUTSIDE "stable": it
-// records the knobs being varied (threads, capture mode, streaming).
+// byte-identical across --threads and --stream/materialized (tests cut
+// the document at the "volatile" marker and byte-compare). The manifest
+// deliberately sits OUTSIDE "stable": it records the knobs being varied
+// (threads, streaming).
 //
 // Format version: bump kObsJsonVersion on any structural change; the
 // layout is pinned by fixture in tests/test_obs_ledger.cpp and documented

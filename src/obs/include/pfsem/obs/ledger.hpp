@@ -8,9 +8,11 @@
 // --stream/materialized.
 //
 // Memory shape: per-file aggregates are a fixed array of op-class cells
-// (order-independent sums), plus one per-(file, rank) stall accumulator —
-// the only rank-dimensioned state — kept so the condensed row can report
-// how many ranks touched the file and which rank stalled longest. Under
+// (order-independent sums), plus per-(file, rank) stall accumulators (at
+// most two per rank and eight more, between folds) and one last-slot
+// hint per rank — the only rank-dimensioned state — kept so the
+// condensed row can report how many ranks touched the file and which
+// rank stalled longest. Under
 // windowed streaming analysis the CLI wires window retirement to
 // condense(file), which folds the rank cells into that summary and frees
 // them, so ledger memory tracks the live window, not the trace. Because
@@ -78,7 +80,11 @@ class Ledger {
   /// frees it.
   struct Entry {
     std::array<Cell, kOpClasses> cells{};
-    std::vector<std::pair<Rank, std::uint64_t>> rank_stall;  ///< sorted by rank
+    /// (rank, stall) sums: the first `rank_sorted` entries are sorted by
+    /// rank, one per rank; record() appends the rest unsorted and folds
+    /// them in once the tail outgrows the prefix.
+    std::vector<std::pair<Rank, std::uint64_t>> rank_stall;
+    std::size_t rank_sorted = 0;
     std::string path;  ///< filled post-run via note_path ("" until then)
     std::uint32_t ranks_touched = 0;
     Rank hottest_rank = kNoRank;
@@ -139,6 +145,10 @@ class Ledger {
  private:
   std::vector<Entry> files_;
   std::size_t touched_files_ = 0;
+  /// Per rank: the file of its last record and that record's index in
+  /// the file's rank_stall. A rank's calls on one file come in runs, so
+  /// record() checks here before searching.
+  std::vector<std::pair<FileId, std::uint32_t>> last_slot_;
 };
 
 }  // namespace pfsem::obs

@@ -69,15 +69,11 @@ struct Run {
   Counter sim_roots;         ///< root tasks spawned (stable)
   Counter sim_roots_killed;  ///< roots terminated by TaskKilled (stable)
   Gauge sim_end_time;        ///< simulated time when run() drained (stable)
-  Counter sim_ring_pops;     ///< near-time ring dispatches (volatile)
-  Counter sim_heap_pops;     ///< heap dispatches (volatile)
-  Counter sim_heap_scheduled;  ///< events routed to the far-future heap (volatile)
-  Counter sim_compactions;   ///< bucket consumed-prefix compactions (volatile)
   // trace::Collector
   Counter trace_records;  ///< records captured (stable)
   Gauge trace_files;      ///< paths interned at take() (stable)
-  Counter trace_flushes;  ///< arena flushes (volatile)
-  Gauge trace_arena_bytes;  ///< arena bytes at the largest flush (volatile)
+  Counter trace_flushes;  ///< streaming chunk flushes (volatile)
+  Gauge trace_arena_bytes;  ///< pending bytes at the largest flush (volatile)
   // iolib / vfs (fed from the collector's emit stream + retry loops)
   Counter io_ops;         ///< every traced call (stable)
   Counter io_reads;       ///< POSIX-layer read/pread (stable)

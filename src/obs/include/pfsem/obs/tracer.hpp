@@ -6,11 +6,11 @@
 // Events are addressed by a Track — the Chrome (pid, tid) pair. Each
 // instrumented subsystem owns a pid (constants below); the tid is the
 // natural lane within it (rank for I/O and programs, worker index for
-// the analysis pool, tier for the scheduler). Timestamps are simulated
-// nanoseconds for everything driven by the DES; only the analysis pool
-// — which runs offline, outside simulated time — records wall-clock
-// nanoseconds relative to the obs::Run's creation (its pid is labelled
-// accordingly in the export).
+// the analysis pool). Timestamps are simulated nanoseconds for
+// everything driven by the DES; only the analysis pool — which runs
+// offline, outside simulated time — records wall-clock nanoseconds
+// relative to the obs::Run's creation (its pid is labelled accordingly
+// in the export).
 //
 // Names and arg keys must be string literals (or otherwise outlive the
 // tracer): events store the pointers, not copies, so appending an event
@@ -25,9 +25,8 @@
 
 namespace pfsem::obs {
 
-/// Chrome process ids, one per instrumented subsystem.
+/// Chrome process ids, one per instrumented subsystem (2 is unused).
 inline constexpr std::int32_t kPidHarness = 1;  ///< per-rank programs
-inline constexpr std::int32_t kPidSim = 2;      ///< scheduler tiers
 inline constexpr std::int32_t kPidIo = 3;       ///< per-rank I/O ops
 inline constexpr std::int32_t kPidPool = 4;     ///< analysis pool (wall clock)
 inline constexpr std::int32_t kPidFault = 5;    ///< injected faults

@@ -17,10 +17,6 @@ Run::Run(Config c)
   sim_roots = metrics.counter("sim.roots_spawned", S);
   sim_roots_killed = metrics.counter("sim.roots_killed", S);
   sim_end_time = metrics.gauge("sim.end_time_ns", S);
-  sim_ring_pops = metrics.counter("sim.ring_pops", V);
-  sim_heap_pops = metrics.counter("sim.heap_pops", V);
-  sim_heap_scheduled = metrics.counter("sim.heap_scheduled", V);
-  sim_compactions = metrics.counter("sim.bucket_compactions", V);
 
   trace_records = metrics.counter("trace.records", S);
   trace_files = metrics.gauge("trace.files_interned", S);

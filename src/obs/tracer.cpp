@@ -11,7 +11,6 @@ namespace {
 const char* pid_name(std::int32_t pid) {
   switch (pid) {
     case kPidHarness: return "programs (per rank, sim time)";
-    case kPidSim: return "sim scheduler (sim time)";
     case kPidIo: return "io (per rank, sim time)";
     case kPidPool: return "analysis pool (wall time)";
     case kPidFault: return "fault injector (sim time)";
@@ -23,7 +22,6 @@ const char* pid_name(std::int32_t pid) {
 
 std::string tid_name(std::int32_t pid, std::int32_t tid) {
   switch (pid) {
-    case kPidSim: return tid == 0 ? "ring tier" : "heap tier";
     case kPidPool: return "worker " + std::to_string(tid);
     case kPidVfs:
     case kPidStream: return "counters";

@@ -7,19 +7,11 @@
 // simulated time only through `co_await engine.delay(d)` (directly or via
 // the I/O-cost models layered above).
 //
-// Two scheduler implementations share that contract (SchedulerKind):
-//
-//  - Bucketed (default): a near-time ring of FIFO buckets covering
-//    [now, now + kRingWindow) plus a fallback heap for far-future wakeups.
-//    The overwhelmingly common case — `delay(0)` fairness round-trips and
-//    short I/O-model delays — costs an O(1) bucket append/pop instead of
-//    an O(log n) heap operation on the full pending-event set.
-//  - Heap: the original single std::priority_queue. Retained as the
-//    debug/differential oracle (mirrors detect_overlaps_scan): firing
-//    sequences must be identical event-for-event between the two kinds,
-//    which tests/test_sim_determinism.cpp enforces over random schedules.
+// The event queue is a binary heap ordered by (time, insertion seq).
+// tests/test_sim_determinism.cpp checks that order as a property over
+// seeded random schedules, and tests/test_capture_golden.cpp pins the
+// traces it produces for every registered app.
 
-#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <exception>
@@ -48,21 +40,14 @@ class TaskKilled : public std::exception {
   int label_;
 };
 
-/// Which event-queue implementation an Engine runs on (see file comment).
-enum class SchedulerKind : std::uint8_t { Bucketed, Heap };
-
 class Engine {
  public:
-  explicit Engine(SchedulerKind scheduler = SchedulerKind::Bucketed)
-      : kind_(scheduler) {}
+  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   /// Current simulated time (global, skew-free).
   [[nodiscard]] SimTime now() const { return now_; }
-
-  /// The scheduler implementation this engine runs on.
-  [[nodiscard]] SchedulerKind scheduler() const { return kind_; }
 
   /// Schedule a coroutine to resume at absolute time `t` (>= now).
   void schedule(SimTime t, std::coroutine_handle<> h);
@@ -110,9 +95,8 @@ class Engine {
   [[nodiscard]] std::uint64_t events_dispatched() const { return dispatched_; }
 
   /// Attach an observability context (nullptr = off, the default). The
-  /// engine then counts dispatches per tier and, when tracing is on,
-  /// emits one aggregated span per consecutive same-tier dispatch burst
-  /// plus compaction instants. Call before run().
+  /// engine then counts dispatches, spawned and killed roots, and the
+  /// simulated end time. Call before run().
   void set_observer(obs::Run* run) { obs_ = run; }
 
  private:
@@ -123,21 +107,6 @@ class Engine {
     bool operator>(const Event& o) const {
       return time != o.time ? time > o.time : seq > o.seq;
     }
-  };
-
-  /// Near-time ring width. Must be a power of two. Times in
-  /// [now, now + kRingWindow) map injectively onto ring slots, so one slot
-  /// never holds two distinct firing times at once.
-  static constexpr SimTime kRingWindow = 64;
-
-  /// One FIFO bucket = all pending events at a single absolute time.
-  /// Entries are appended in schedule() call order, which equals global
-  /// seq order, so front-to-back pop order IS (time, seq) order.
-  struct Bucket {
-    SimTime time = 0;  ///< absolute firing time; valid while non-empty
-    std::size_t head = 0;
-    std::vector<std::pair<std::uint64_t, std::coroutine_handle<>>> entries;
-    [[nodiscard]] bool empty() const { return head == entries.size(); }
   };
 
   // Fire-and-forget wrapper that owns a root Task for its whole run. The
@@ -162,23 +131,6 @@ class Engine {
   /// (each destroys the nested task frames it owns). Failed runs only.
   void reclaim_roots();
 
-  /// Earliest-time non-empty ring bucket, or nullptr when the ring is
-  /// empty. All ring events lie in [now, now + kRingWindow), so the
-  /// occupancy bitmask rotated to now's slot finds it in O(1).
-  [[nodiscard]] Bucket* ring_front();
-
-  /// Observability slow path: tier counters + burst-span aggregation for
-  /// one dispatch (called only when obs_ != nullptr).
-  void note_dispatch(bool ring);
-  /// Close the open tier span, if any (end of run / tier switch).
-  void flush_tier_span();
-
-  SchedulerKind kind_;
-  std::array<Bucket, static_cast<std::size_t>(kRingWindow)> ring_;
-  /// Bit i set iff ring_[i] is non-empty; kRingWindow is 64 so the whole
-  /// ring's occupancy fits one word.
-  std::uint64_t ring_mask_ = 0;
-  /// Far-future events (Bucketed) or every event (Heap oracle).
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
@@ -196,16 +148,6 @@ class Engine {
 
   /// Observability (off = nullptr; one branch per hot-path site).
   obs::Run* obs_ = nullptr;
-  /// Open aggregated tier span: consecutive dispatches from one tier
-  /// collapse into a single traced span (see note_dispatch).
-  struct TierRun {
-    bool open = false;
-    bool ring = false;
-    SimTime t0 = 0;
-    SimTime last = 0;
-    std::uint64_t events = 0;
-  };
-  TierRun tier_run_;
 };
 
 }  // namespace pfsem::sim

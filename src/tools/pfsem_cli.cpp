@@ -27,31 +27,24 @@
 //   --retries N      I/O retries per op after the first attempt (default 0)
 //   --threads N      analysis threads (N >= 1; omit for all hardware
 //                    threads; output is byte-identical for every N)
-//   --capture MODE   capture path: "fast" (bucketed scheduler + per-rank
-//                    emission arenas, default), "reference" (the retained
-//                    pre-optimization heap scheduler + global emitter;
-//                    bundles are byte-identical either way), or "auto"
-//                    (pick the pair by rank count)
 //   --stream         report/trace/tune: chunked streaming pipeline —
 //                    records spill to a bounded store as they are
 //                    captured and the analysis consumes them
 //                    incrementally, so peak memory stays flat in rank
 //                    count. Output is byte-identical to the default
 //                    materialized path (see docs/performance.md).
-//   --window         with --stream (default on): windowed analysis —
-//                    per-file overlap/conflict/pattern/tuning run the
+//                    The analysis is windowed: per-file overlap,
+//                    conflict, pattern and tuning analysis run the
 //                    moment the stream frontier retires a file, and its
 //                    accesses are freed, so memory is bounded by the
 //                    *live* file window rather than the whole log.
-//                    Output stays byte-identical.
-//   --no-window      with --stream: keep the full log until finish
-//                    (the pre-windowing streaming pipeline)
+//                    `--window` is accepted and changes nothing.
 //   --chunk-records N  streaming chunk size in records (default 65536)
 //   --spill-mem MB   in-memory spill ceiling before chunks go to a temp
 //                    file (default 64)
 //   --obs            observability: print the run's metrics summary
 //   --obs-out FILE   write the stable metrics dump (byte-identical across
-//                    --threads and --capture; see docs/observability.md)
+//                    --threads and --stream; see docs/observability.md)
 //   --obs-trace FILE write a Chrome trace_event JSON timeline (load in
 //                    ui.perfetto.dev or chrome://tracing)
 //   --obs-ledger     cost-attribution ledger: per-(file × rank × op-class)
@@ -118,11 +111,8 @@ struct Options {
   Offset stripe = 64u << 10;
   int retries = 0;  // retries per op after the first attempt
   int threads = 0;  // analysis threads (0 = all hardware threads)
-  bool capture_reference = false;  // run the retained reference capture path
-  bool capture_auto = false;       // resolve the capture pair by rank count
   // Chunked streaming pipeline (--stream; report, trace, and tune).
   bool stream = false;
-  bool window = true;  // windowed analysis under --stream (--no-window)
   std::size_t chunk_records = std::size_t{1} << 16;
   std::size_t spill_mem_mb = 64;
   // Observability (--obs / --obs-out / --obs-trace / --obs-ledger /
@@ -161,15 +151,14 @@ int usage() {
                "  pfsem remedy <config|trace.trc> [--strict] [options]\n"
                "  pfsem obs-diff <a.json> <b.json> [--threshold F]\n"
                "common options: --threads N (N >= 1; omit for all cores),\n"
-               "                --capture fast|reference|auto, --obs,\n"
-               "                --obs-out <file>, --obs-trace <file>,\n"
+               "                --obs, --obs-out <file>, --obs-trace <file>,\n"
                "                --obs-ledger, --obs-json <file> ('-' = "
                "stdout),\n"
                "                --mds N --ost M --stripe K (multi-server "
                "cluster backend)\n"
-               "report/trace/tune: --stream [--no-window] [--chunk-records N]\n"
+               "report/trace/tune: --stream [--chunk-records N]\n"
                "                [--spill-mem MB] (chunked streaming pipeline,\n"
-               "                windowed analysis by default; output is "
+               "                windowed analysis; output is "
                "byte-identical)\n";
   return 2;
 }
@@ -257,17 +246,8 @@ Options parse_options(int argc, char** argv, int first) {
                     " (omit the flag to use all hardware threads)");
       }
     }
-    else if (a == "--capture") {
-      const std::string mode = next();
-      if (mode == "reference") opt.capture_reference = true;
-      else if (mode == "auto") opt.capture_auto = true;
-      else if (mode != "fast") {
-        throw Error("--capture wants fast|reference|auto");
-      }
-    }
     else if (a == "--stream") opt.stream = true;
-    else if (a == "--window") opt.window = true;
-    else if (a == "--no-window") opt.window = false;
+    else if (a == "--window") {}  // the --stream analysis is always windowed
     else if (a == "--chunk-records") {
       const long long v = std::stoll(next());
       if (v < 1) {
@@ -322,7 +302,7 @@ Options parse_options(int argc, char** argv, int first) {
 
 /// Run manifest for the structured JSON export: the knobs that produced
 /// this dump. Deliberately outside the dump's "stable" section — it
-/// records exactly the parameters (threads, capture, stream) the stable
+/// records exactly the parameters (threads, stream) the stable
 /// metrics are invariant to.
 obs::Manifest make_manifest(const Options& opt) {
   obs::Manifest m;
@@ -332,11 +312,7 @@ obs::Manifest make_manifest(const Options& opt) {
   m.emplace_back("ranks", std::to_string(opt.ranks));
   m.emplace_back("seed", std::to_string(opt.seed));
   m.emplace_back("threads", std::to_string(opt.threads));
-  m.emplace_back("capture", opt.capture_auto        ? "auto"
-                            : opt.capture_reference ? "reference"
-                                                    : "fast");
   m.emplace_back("stream", opt.stream ? "1" : "0");
-  m.emplace_back("window", opt.stream && opt.window ? "1" : "0");
   m.emplace_back("faults", opt.faults);
   if (opt.cluster) {
     m.emplace_back("mds", std::to_string(opt.mds));
@@ -391,12 +367,6 @@ SimSetup make_setup(Options& opt) {
   s.cfg.seed = opt.seed;
   s.cfg.obs = opt.obs_run.get();
   s.cfg.stream_chunk_records = opt.chunk_records;
-  if (opt.capture_auto) {
-    s.cfg.capture = trace::CaptureMode::Auto;
-  } else if (opt.capture_reference) {
-    s.cfg.scheduler = sim::SchedulerKind::Heap;
-    s.cfg.capture = trace::CaptureMode::Reference;
-  }
   if (opt.skew > 0) {
     s.clocks = sim::make_skewed_clocks(opt.ranks, opt.skew, 100.0, opt.seed);
   }
@@ -568,31 +538,12 @@ core::StreamAnalyzer::WindowedResult stream_windowed_config(
       });
 }
 
-/// `pfsem report <config> --stream --no-window`: full report without
-/// ever holding the record array; byte-identical to the materialized
-/// path.
+/// `pfsem report <config> --stream`: full report without ever holding
+/// the record array; byte-identical to the materialized path.
 core::RunReport stream_report_config(const apps::AppInfo& info, Options& opt) {
-  if (opt.window) {
-    auto res = stream_windowed_config(info, opt);
-    return core::assemble_windowed_report(std::move(res.stats), res.records,
-                                          res.nranks, res.summaries);
-  }
-  return spill_and_drain(
-      info, opt, [&](trace::StreamMeta meta, trace::ChunkReader& reader) {
-        core::StreamAnalyzer analyzer(meta.nranks, std::move(meta.paths),
-                                      std::move(meta.rank_posix_counts),
-                                      meta.file_op_counts);
-        trace::Record rec;
-        while (reader.next(rec)) analyzer.feed(rec);
-        (void)reader.read_trailer();  // validates the framing end to end
-        auto res = analyzer.finish();
-        const auto pairs = core::detect_file_overlaps(res.log, {}, opt.threads);
-        const auto conflicts =
-            core::detect_conflicts(res.log, pairs, {.threads = opt.threads});
-        return core::assemble_report(std::move(res.stats), res.records,
-                                     res.log.nranks, res.log, conflicts,
-                                     opt.threads);
-      });
+  auto res = stream_windowed_config(info, opt);
+  return core::assemble_windowed_report(std::move(res.stats), res.records,
+                                        res.nranks, res.summaries);
 }
 
 /// Open `path` as a compact-v2 trace for streaming analysis, validating
@@ -660,29 +611,11 @@ core::StreamAnalyzer::WindowedResult stream_windowed_file(
 
 /// `pfsem report <trace.trc> --stream`: analyze a compact-v2 trace file
 /// incrementally. Two passes: the first counts POSIX budgets so the
-/// analyzer can retire ranks and (windowed) files.
+/// analyzer can retire ranks and files.
 core::RunReport stream_report_file(const std::string& path, Options& opt) {
-  if (opt.window) {
-    auto res = stream_windowed_file(path, opt);
-    return core::assemble_windowed_report(std::move(res.stats), res.records,
-                                          res.nranks, res.summaries);
-  }
-  std::ifstream is = open_compact_stream(path, opt);
-  std::vector<std::uint64_t> posix_counts, file_counts;
-  count_budgets(is, posix_counts, file_counts);
-  trace::CompactReader reader(is);
-  core::StreamAnalyzer analyzer(reader.nranks(), reader.paths(),
-                                std::move(posix_counts));
-  trace::Record rec;
-  while (reader.next(rec)) analyzer.feed(rec);
-  (void)reader.read_comm();  // validates the tail of the file
-  auto res = analyzer.finish();
-  const auto pairs = core::detect_file_overlaps(res.log, {}, opt.threads);
-  const auto conflicts =
-      core::detect_conflicts(res.log, pairs, {.threads = opt.threads});
-  return core::assemble_report(std::move(res.stats), res.records,
-                               res.log.nranks, res.log, conflicts,
-                               opt.threads);
+  auto res = stream_windowed_file(path, opt);
+  return core::assemble_windowed_report(std::move(res.stats), res.records,
+                                        res.nranks, res.summaries);
 }
 
 void print_report(const trace::TraceBundle& bundle, int threads) {
@@ -900,8 +833,6 @@ int main(int argc, char** argv) {
     if (cmd == "tune" && argc >= 3) {
       auto opt = parse_options(argc, argv, 3);
       if (opt.stream) {
-        require(opt.window,
-                "tune --stream is the windowed pipeline; drop --no-window");
         const auto* info = apps::find_app(argv[2]);
         const auto res = info != nullptr ? stream_windowed_config(*info, opt)
                                          : stream_windowed_file(argv[2], opt);

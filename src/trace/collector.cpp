@@ -9,29 +9,20 @@ void Collector::reserve(int nranks, std::size_t per_rank_hint) {
   require(nranks == bundle_.nranks,
           "reserve(): rank count does not match this collector");
   if (stream_sink_ != nullptr) {
-    // Streaming arenas never hold more than one chunk of pending records
-    // across all ranks, so cap the pre-size: a 64K-rank streaming run must
-    // not reserve a whole bundle's worth of arena capacity up front.
+    // A streaming run never holds more than one chunk of pending records,
+    // so cap the pre-size: a 64K-rank streaming run must not reserve a
+    // whole bundle's worth of capacity up front.
     per_rank_hint = std::min(
         per_rank_hint,
         stream_chunk_ / static_cast<std::size_t>(nranks) + 1);
   }
-  if (mode_ == CaptureMode::Reference) {
-    // The retired emitter had no per-rank structure; best it can do is
-    // pre-size the one global vector.
-    bundle_.records.reserve(static_cast<std::size_t>(nranks) * per_rank_hint);
-    return;
-  }
-  for (auto& a : arenas_) {
-    a.records.reserve(per_rank_hint);
-    a.seqs.reserve(per_rank_hint);
-  }
+  bundle_.records.reserve(static_cast<std::size_t>(nranks) * per_rank_hint);
 }
 
 void Collector::enable_streaming(StreamSink* sink, std::size_t chunk_records) {
   require(sink != nullptr, "enable_streaming needs a sink");
   require(chunk_records > 0, "enable_streaming needs a positive chunk size");
-  require(total_records_ == 0 && bundle_.records.empty(),
+  require(size() == 0,
           "enable_streaming must be called before capture starts");
   stream_sink_ = sink;
   stream_chunk_ = chunk_records;
@@ -40,36 +31,18 @@ void Collector::enable_streaming(StreamSink* sink, std::size_t chunk_records) {
 }
 
 void Collector::flush_stream() {
-  const std::size_t pending =
-      static_cast<std::size_t>(total_records_ - stream_consumed_);
+  const std::size_t pending = bundle_.records.size();
   if (pending == 0) return;
   if (obs_ != nullptr) {
     obs_->metrics.add(obs_->trace_flushes);
-    const auto bytes =
-        static_cast<std::int64_t>(pending * sizeof(Record) +
-                                  pending * sizeof(std::uint64_t));
+    const auto bytes = static_cast<std::int64_t>(pending * sizeof(Record));
     if (bytes > obs_->metrics.value(obs_->trace_arena_bytes)) {
       obs_->metrics.set(obs_->trace_arena_bytes, bytes);
     }
   }
   stream_peak_ = std::max(stream_peak_, pending);
-  if (mode_ == CaptureMode::Fast) {
-    // Same comparison-free scatter as flush(): the pending seqs are
-    // exactly [stream_consumed_, total_records_), a permutation.
-    stream_scratch_.resize(pending);
-    for (auto& a : arenas_) {
-      for (std::size_t j = 0; j < a.records.size(); ++j) {
-        stream_scratch_[a.seqs[j] - stream_consumed_] =
-            std::move(a.records[j]);
-      }
-      a.records.clear();
-      a.seqs.clear();
-    }
-    stream_sink_->on_records(stream_consumed_, stream_scratch_);
-  } else {
-    stream_sink_->on_records(stream_consumed_, bundle_.records);
-    bundle_.records.clear();
-  }
+  stream_sink_->on_records(stream_consumed_, bundle_.records);
+  bundle_.records.clear();
   stream_consumed_ += pending;
   // Chunk boundaries are also the observability flush points: spans
   // buffered since the last chunk go out with it.
@@ -86,13 +59,11 @@ StreamMeta Collector::take_stream() {
   StreamMeta meta;
   meta.nranks = bundle_.nranks;
   meta.records = stream_consumed_;
-  if (mode_ == CaptureMode::Fast) {
-    // Same column-hint contract as take() (paths interned but never
-    // attached to a record get a zero hint).
-    file_counts_.resize(bundle_.paths.size(), 0);
-    meta.file_op_counts = std::move(file_counts_);
-    file_counts_ = {};
-  }
+  // Same column-hint contract as take() (paths interned but never
+  // attached to a record get a zero hint).
+  file_counts_.resize(bundle_.paths.size(), 0);
+  meta.file_op_counts = std::move(file_counts_);
+  file_counts_ = {};
   meta.rank_posix_counts = std::move(rank_posix_counts_);
   // Exact per-file retirement budgets (paths interned but never attached
   // to a Posix record keep a zero budget — the windowed analyzer treats
@@ -106,8 +77,6 @@ StreamMeta Collector::take_stream() {
   bundle_ = TraceBundle{};
   bundle_.nranks = nranks;
   rank_posix_counts_.assign(static_cast<std::size_t>(nranks), 0);
-  next_emit_seq_ = 0;
-  total_records_ = 0;
   stream_consumed_ = 0;
   return meta;
 }
@@ -146,62 +115,18 @@ void Collector::note_obs(const Record& r) {
   }
 }
 
-void Collector::flush() {
-  if (mode_ == CaptureMode::Reference) return;
-  std::size_t pending = 0;
-  for (const auto& a : arenas_) pending += a.records.size();
-  if (pending == 0) return;
-  if (obs_ != nullptr) {
-    obs_->metrics.add(obs_->trace_flushes);
-    const auto bytes =
-        static_cast<std::int64_t>(pending * sizeof(Record) +
-                                  pending * sizeof(std::uint64_t));
-    if (bytes > obs_->metrics.value(obs_->trace_arena_bytes)) {
-      obs_->metrics.set(obs_->trace_arena_bytes, bytes);
-    }
-  }
-
-  // Deterministic merge on the global emission sequence number. Seqs are
-  // handed out consecutively (one per emit, starting at 0) and every
-  // earlier seq was consumed by a previous flush, so the pending seqs are
-  // exactly [records.size(), records.size() + pending) — a permutation.
-  // That turns the k-way merge into a comparison-free scatter: each record
-  // lands at index `seq`, which is precisely the position the reference
-  // single-emitter path would have appended it at.
-  bundle_.records.resize(bundle_.records.size() + pending);
-  for (auto& a : arenas_) {
-    for (std::size_t j = 0; j < a.records.size(); ++j) {
-      bundle_.records[a.seqs[j]] = std::move(a.records[j]);
-    }
-    a.records.clear();
-    a.seqs.clear();
-  }
-}
-
-const TraceBundle& Collector::bundle() {
-  require(stream_sink_ == nullptr,
-          "collector is in streaming mode; records are not materialized");
-  flush();
-  return bundle_;
-}
-
 TraceBundle Collector::take() {
   require(stream_sink_ == nullptr,
           "collector is in streaming mode; use take_stream()");
-  flush();
   if (obs_ != nullptr) {
     obs_->metrics.set(obs_->trace_files,
                       static_cast<std::int64_t>(bundle_.paths.size()));
   }
-  if (mode_ == CaptureMode::Fast) {
-    // Attach the per-file column hints, sized to the full path table
-    // (paths interned but never attached to a record get a zero hint).
-    file_counts_.resize(bundle_.paths.size(), 0);
-    bundle_.file_op_counts = std::move(file_counts_);
-    file_counts_ = {};
-  }
-  next_emit_seq_ = 0;
-  total_records_ = 0;
+  // Attach the per-file column hints, sized to the full path table
+  // (paths interned but never attached to a record get a zero hint).
+  file_counts_.resize(bundle_.paths.size(), 0);
+  bundle_.file_op_counts = std::move(file_counts_);
+  file_counts_ = {};
   return std::exchange(bundle_, TraceBundle{});
 }
 

@@ -24,7 +24,7 @@ struct TraceBundle {
   /// Per-FileId record counts tallied during capture (column hints for
   /// TraceStore construction). Purely a capacity hint, NOT part of the
   /// serialized formats: empty for deserialized or hand-built bundles,
-  /// sized to paths.size() when the fast capture path produced the bundle.
+  /// sized to paths.size() when a Collector produced the bundle.
   std::vector<std::uint32_t> file_op_counts;
 
   /// Intern a path for use in a Record's `file` field.

@@ -6,19 +6,12 @@
 // appended to the embedded CommLog by pfsem::mpi through the same clock
 // conversion.
 //
-// Two capture paths share one output contract (CaptureMode):
-//
-//  - Fast (default): each rank appends into its own arena (one copy,
-//    converted in place, capacity pre-reserved via reserve()); the global
-//    record order is recovered at flush time by a deterministic k-way
-//    merge on the per-emit global sequence number, which IS emission
-//    order, so the resulting bundle is byte-identical to the reference
-//    path. Per-FileId record counts are tallied during capture and handed
-//    to the bundle as column hints (TraceBundle::file_op_counts) so
-//    TraceStore construction can pre-size its per-file columns.
-//  - Reference: the retired single-growing-vector emitter (copy, convert,
-//    move-append), retained as the differential oracle and the perf
-//    baseline for bench_perf_scaling's capture-path floor.
+// Records land in one vector in emission order, which is the trace's
+// canonical record order: emit() copies each record once and converts
+// its timestamps in place. Per-FileId record counts are tallied during
+// capture and handed to the bundle as column hints
+// (TraceBundle::file_op_counts), so TraceStore construction can pre-size
+// its per-file columns.
 
 #include <utility>
 #include <vector>
@@ -31,38 +24,22 @@
 
 namespace pfsem::trace {
 
-/// Which emission path a Collector runs on (see file comment). Auto is a
-/// harness-level policy (pick Reference below a rank threshold, Fast
-/// above — see apps::Harness); a Collector itself must be constructed
-/// with a resolved mode.
-enum class CaptureMode : std::uint8_t { Fast, Reference, Auto };
-
 class Collector {
  public:
   /// `clocks` may be empty (perfect clocks) or one ClockModel per rank.
-  explicit Collector(int nranks, std::vector<sim::ClockModel> clocks = {},
-                     CaptureMode mode = CaptureMode::Fast)
-      : clocks_(std::move(clocks)), mode_(mode) {
+  explicit Collector(int nranks, std::vector<sim::ClockModel> clocks = {})
+      : clocks_(std::move(clocks)) {
     require(nranks > 0, "need at least one rank");
-    require(mode_ != CaptureMode::Auto,
-            "Collector needs a resolved capture mode (Auto is a harness "
-            "policy)");
     require(clocks_.empty() || std::ssize(clocks_) == nranks,
             "clock vector must match rank count");
     bundle_.nranks = nranks;
-    if (mode_ == CaptureMode::Fast) {
-      arenas_.resize(static_cast<std::size_t>(nranks));
-    }
   }
 
   [[nodiscard]] int nranks() const { return bundle_.nranks; }
 
-  /// The emission path this collector runs on.
-  [[nodiscard]] CaptureMode mode() const { return mode_; }
-
   /// Capacity hint from the run harness: expect about `per_rank_hint`
   /// records from each of `nranks` ranks. Purely an optimization — the
-  /// arenas grow past the hint freely.
+  /// record vector grows past the hint freely.
   void reserve(int nranks, std::size_t per_rank_hint);
 
   /// Local timestamp rank `r` would record for global time `t`.
@@ -97,31 +74,17 @@ class Collector {
 
   /// Append a record whose tstart/tend are in *global* time; they are
   /// converted to the emitting rank's local clock in place — the record
-  /// is copied exactly once, straight into its rank's arena.
+  /// is copied exactly once, straight into the record vector.
   void emit(const Record& r) {
     require(r.rank >= 0 && r.rank < bundle_.nranks, "record rank out of range");
-    ++total_records_;
     // Observed before clock conversion: the record still carries global
-    // timestamps here, and emission order is identical in both capture
-    // modes, so everything derived in note_obs is capture-mode-stable.
+    // timestamps here.
     if (obs_ != nullptr) note_obs(r);
-    if (mode_ == CaptureMode::Reference) {
-      // Retired path, kept verbatim as the perf baseline: copy into a
-      // local, convert, then move-append to the single global vector.
-      Record tmp = r;
-      tmp.tstart = local_time(tmp.rank, tmp.tstart);
-      tmp.tend = local_time(tmp.rank, tmp.tend);
-      bundle_.records.push_back(std::move(tmp));
-      if (stream_sink_ != nullptr) note_stream(r);
-      return;
-    }
     if (r.file != kNoFile) {
       if (r.file >= file_counts_.size()) file_counts_.resize(r.file + 1, 0);
       ++file_counts_[r.file];
     }
-    RankArena& a = arenas_[static_cast<std::size_t>(r.rank)];
-    a.seqs.push_back(next_emit_seq_++);
-    Record& dst = a.records.emplace_back(r);
+    Record& dst = bundle_.records.emplace_back(r);
     dst.tstart = local_time(dst.rank, dst.tstart);
     dst.tend = local_time(dst.rank, dst.tend);
     if (stream_sink_ != nullptr) note_stream(r);
@@ -147,25 +110,27 @@ class Collector {
     bundle_.comm.collectives.push_back(std::move(e));
   }
 
-  /// Number of records captured so far (arenas included).
-  [[nodiscard]] std::size_t size() const { return total_records_; }
+  /// Number of records captured so far (streamed-out ones included).
+  [[nodiscard]] std::size_t size() const {
+    return static_cast<std::size_t>(stream_consumed_) + bundle_.records.size();
+  }
 
-  /// Finish capture and take the bundle (arenas merged, column hints
-  /// attached). The collector is empty afterwards.
+  /// Finish capture and take the bundle (column hints attached). The
+  /// collector is empty afterwards.
   [[nodiscard]] TraceBundle take();
 
-  /// View of the bundle while capture is ongoing. Flushes the per-rank
-  /// arenas into the canonical global record order first, so the view is
-  /// always complete; capture may continue afterwards (later emits carry
-  /// later sequence numbers, so order stays canonical).
-  [[nodiscard]] const TraceBundle& bundle();
+  /// View of the bundle while capture is ongoing; capture may continue
+  /// afterwards.
+  [[nodiscard]] const TraceBundle& bundle() const {
+    require(stream_sink_ == nullptr,
+            "collector is in streaming mode; records are not materialized");
+    return bundle_;
+  }
 
   /// Switch to streaming capture: records are handed to `sink` in global
   /// emission order in batches of `chunk_records` instead of accumulating
   /// in the bundle. Must be called before the first emit; bundle()/take()
-  /// are unavailable afterwards — finish with take_stream(). Both capture
-  /// modes stream (fast scatters its arenas per chunk, reference hands
-  /// off its vector), producing identical streams.
+  /// are unavailable afterwards — finish with take_stream().
   void enable_streaming(StreamSink* sink, std::size_t chunk_records);
 
   [[nodiscard]] bool streaming() const { return stream_sink_ != nullptr; }
@@ -188,16 +153,6 @@ class Collector {
   void set_observer(obs::Run* run) { obs_ = run; }
 
  private:
-  /// One rank's append arena: records in that rank's emission order, with
-  /// the global emission sequence number alongside (the k-way merge key).
-  struct RankArena {
-    std::vector<Record> records;
-    std::vector<std::uint64_t> seqs;
-  };
-
-  /// Drain every arena into bundle_.records in global emission order.
-  void flush();
-
   /// Hand every pending record (in emission order) to the stream sink.
   void flush_stream();
 
@@ -207,17 +162,17 @@ class Collector {
     if (r.layer == Layer::Posix) {
       ++rank_posix_counts_[static_cast<std::size_t>(r.rank)];
       if (r.file != kNoFile) {
-        // Exact per-file tally (both capture modes): the windowed
-        // analyzer retires a file once this many Posix records for it
-        // have replayed, so the predicate here must match the one the
-        // release path decrements on (Posix layer, file attached).
+        // Exact per-file tally: the windowed analyzer retires a file
+        // once this many Posix records for it have replayed, so the
+        // predicate here must match the one the release path decrements
+        // on (Posix layer, file attached).
         if (r.file >= file_posix_counts_.size()) {
           file_posix_counts_.resize(r.file + 1, 0);
         }
         ++file_posix_counts_[r.file];
       }
     }
-    if (total_records_ - stream_consumed_ >= stream_chunk_) flush_stream();
+    if (bundle_.records.size() >= stream_chunk_) flush_stream();
   }
 
   /// Observability slow path for one emitted record (global timestamps;
@@ -226,26 +181,20 @@ class Collector {
 
   TraceBundle bundle_;
   std::vector<sim::ClockModel> clocks_;
-  std::vector<RankArena> arenas_;
-  /// Records per FileId seen so far (Fast mode): the column hints.
+  /// Records per FileId seen so far: the column hints.
   std::vector<std::uint32_t> file_counts_;
-  std::uint64_t next_emit_seq_ = 0;
-  std::size_t total_records_ = 0;
-  CaptureMode mode_;
   /// Observability (off = nullptr; one branch per emit).
   obs::Run* obs_ = nullptr;
   /// Streaming capture (off = nullptr; one branch per emit).
   StreamSink* stream_sink_ = nullptr;
   std::size_t stream_chunk_ = 0;
-  /// Records already handed to the sink; pending = total - consumed.
+  /// Records already handed to the sink; bundle_.records holds the
+  /// pending ones.
   std::uint64_t stream_consumed_ = 0;
   std::size_t stream_peak_ = 0;
-  /// Scratch the fast path scatters each chunk into (reused across
-  /// flushes, so its capacity is the chunk size, not the run size).
-  std::vector<Record> stream_scratch_;
   std::vector<std::uint64_t> rank_posix_counts_;
   /// Posix records per FileId (streaming only): windowed retirement
-  /// budgets, exact in both capture modes.
+  /// budgets.
   std::vector<std::uint64_t> file_posix_counts_;
 };
 

@@ -1,8 +1,8 @@
 #pragma once
 // Bounded spill store + chunked compact-v2 framing ("PFSEMCK1").
 //
-// A streaming capture spills fixed-size record chunks as the collector's
-// arenas fill, then replays them after the run for analysis or transcode.
+// A streaming capture spills fixed-size record chunks as the collector
+// fills them, then replays them after the run for analysis or transcode.
 // The spill byte format is pinned (tests/test_compact_codec.cpp carries a
 // hand-crafted fixture):
 //

@@ -38,7 +38,7 @@ struct StreamMeta {
   int nranks = 0;
   PathTable paths;
   CommLog comm;
-  /// Per-FileId op-count hints (fast capture only; same contract as
+  /// Per-FileId op-count hints (same contract as
   /// TraceBundle::file_op_counts — advisory, never serialized).
   std::vector<std::uint32_t> file_op_counts;
   /// Per-rank count of Posix-layer records in the stream. The streaming
@@ -47,7 +47,7 @@ struct StreamMeta {
   /// early) do not pin the release frontier. Advisory, never serialized.
   std::vector<std::uint64_t> rank_posix_counts;
   /// Per-FileId count of Posix-layer records carrying that file id —
-  /// exact (both capture modes), unlike the advisory file_op_counts.
+  /// exact, unlike the advisory file_op_counts.
   /// Windowed analysis decrements these as records replay; a file whose
   /// count hits zero can never be touched again, so its per-file state
   /// retires from the window. Advisory, never serialized.

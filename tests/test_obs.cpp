@@ -2,8 +2,8 @@
 // Chrome-trace export, and the two wiring contracts that matter —
 //
 //  1. The stable metrics dump is byte-identical across analysis thread
-//     counts {1,2,4} AND capture paths {fast, reference}; it is the
-//     diff-testable observability artifact.
+//     counts {1,2,4} AND capture pipelines {materialized, streaming}; it
+//     is the diff-testable observability artifact.
 //  2. Observability is a pure observer: a run with obs wired in produces
 //     a byte-identical trace bundle to the same run without it.
 //
@@ -14,9 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "pfsem/apps/registry.hpp"
 #include "pfsem/core/conflict.hpp"
@@ -123,19 +126,38 @@ TEST(Tracer, ChromeJsonCarriesRequiredKeys) {
 
 // --- the determinism contract ---------------------------------------------
 
-/// One full simulate + analyze pass with observability wired into `run`.
-void observed_pass(obs::Run& run, int threads, bool reference) {
+/// Gathers streamed records back into memory: the streaming capture
+/// pipeline without a spill store.
+class CollectSink final : public trace::StreamSink {
+ public:
+  void on_records(std::uint64_t /*base_seq*/,
+                  std::span<const trace::Record> records) override {
+    out.insert(out.end(), records.begin(), records.end());
+  }
+  std::vector<trace::Record> out;
+};
+
+/// One full simulate + analyze pass with observability wired into `run`,
+/// captured into a bundle or streamed out in small chunks.
+void observed_pass(obs::Run& run, int threads, bool streamed) {
   const auto* info = apps::find_app("pF3D-IO");
   EXPECT_NE(info, nullptr);
   apps::AppConfig cfg;
   cfg.nranks = 8;
   cfg.ranks_per_node = 4;
-  if (reference) {
-    cfg.scheduler = sim::SchedulerKind::Heap;
-    cfg.capture = trace::CaptureMode::Reference;
-  }
   cfg.obs = &run;
-  const auto bundle = apps::run_app(*info, cfg);
+  trace::TraceBundle bundle;
+  if (streamed) {
+    CollectSink sink;
+    cfg.stream_chunk_records = 64;
+    trace::StreamMeta meta = apps::run_app_stream(*info, sink, cfg);
+    bundle.nranks = meta.nranks;
+    bundle.paths = std::move(meta.paths);
+    bundle.comm = std::move(meta.comm);
+    bundle.records = std::move(sink.out);
+  } else {
+    bundle = apps::run_app(*info, cfg);
+  }
 
   // Analysis rides the work-stealing pool; its pool.* metrics are
   // volatile, so the stable dump must not depend on `threads`.
@@ -147,9 +169,9 @@ void observed_pass(obs::Run& run, int threads, bool reference) {
 }
 
 /// observed_pass's stable metrics dump plus the human-facing summary.
-std::string stable_dump(int threads, bool reference) {
+std::string stable_dump(int threads, bool streamed) {
   obs::Run run(obs::Config{.metrics = true, .tracing = false});
-  observed_pass(run, threads, reference);
+  observed_pass(run, threads, streamed);
   std::ostringstream os;
   run.metrics.dump(os);
   // The human-facing summary rides inside analysis output whose
@@ -160,19 +182,19 @@ std::string stable_dump(int threads, bool reference) {
 }
 
 TEST(ObsDeterminism, StableDumpIdenticalAcrossThreadsAndCapture) {
-  const std::string baseline = stable_dump(/*threads=*/1, /*reference=*/false);
+  const std::string baseline = stable_dump(/*threads=*/1, /*streamed=*/false);
   EXPECT_NE(baseline.find("counter io.ops"), std::string::npos);
   for (const int threads : {2, 4}) {
-    EXPECT_EQ(stable_dump(threads, /*reference=*/false), baseline)
+    EXPECT_EQ(stable_dump(threads, /*streamed=*/false), baseline)
         << "threads=" << threads;
   }
   for (const int threads : {1, 4}) {
-    EXPECT_EQ(stable_dump(threads, /*reference=*/true), baseline)
-        << "reference capture, threads=" << threads;
+    EXPECT_EQ(stable_dump(threads, /*streamed=*/true), baseline)
+        << "streaming capture, threads=" << threads;
   }
 }
 
-// Volatile metrics may vary with --threads and the capture path, but at
+// Volatile metrics may vary with --threads and the capture pipeline, but at
 // a fixed configuration they repeat exactly: a race outcome (which worker
 // stole which range) never reaches the registry, so obs-diff on two
 // identical runs passes on any number of cores.
@@ -182,7 +204,7 @@ TEST(ObsDeterminism, FullDumpRepeatsAtFixedConfiguration) {
   };
   const auto once = [] {
     obs::Run run(obs::Config{.metrics = true, .tracing = false});
-    observed_pass(run, /*threads=*/4, /*reference=*/false);
+    observed_pass(run, /*threads=*/4, /*streamed=*/false);
     std::ostringstream dump, json;
     run.metrics.dump(dump, /*include_volatile=*/true);
     obs::write_obs_json(json, run, {{"app", "pF3D-IO"}});
@@ -205,7 +227,7 @@ TEST(ObsDeterminism, FullDumpRepeatsAtFixedConfiguration) {
 TEST(ObsDeterminism, PoolBusySpansCarryItemsAndSteals) {
   for (const int threads : {1, 4}) {
     obs::Run run(obs::Config{.metrics = true, .tracing = true});
-    observed_pass(run, threads, /*reference=*/false);
+    observed_pass(run, threads, /*streamed=*/false);
     int busy = 0;
     for (const auto& e : run.tracer.events()) {
       if (e.pid != obs::kPidPool || std::string_view(e.name) != "busy") {

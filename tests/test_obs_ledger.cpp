@@ -7,13 +7,14 @@
 //     byte-identical: the reductions commute with interleaving.
 //  3. The versioned JSON export format is pinned by fixture, and its
 //     stable section is byte-identical across analysis thread counts and
-//     capture paths with the ledger enabled.
+//     capture pipelines (materialized, streaming) with the ledger enabled.
 //  4. obs-diff policy: exact on the stable section, threshold-gated on
 //     volatile metrics and ledger rows, version exact, manifest informational.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -172,20 +173,29 @@ TEST(ObsExport, LedgerSectionPinnedByFixture) {
   EXPECT_TRUE(self.regressions.empty());
 }
 
-/// One full simulated run with metrics + ledger; returns the export.
-std::string obs_json(int threads, bool reference) {
+/// Discards streamed records: the ledger is filled during capture.
+class NullSink final : public trace::StreamSink {
+ public:
+  void on_records(std::uint64_t, std::span<const trace::Record>) override {}
+};
+
+/// One full simulated run with metrics + ledger, captured into a bundle
+/// or streamed out in small chunks; returns the export.
+std::string obs_json(int threads, bool streamed) {
   obs::Run run(obs::Config{.metrics = true, .ledger = true});
   const auto* info = apps::find_app("pF3D-IO");
   EXPECT_NE(info, nullptr);
   apps::AppConfig cfg;
   cfg.nranks = 8;
   cfg.ranks_per_node = 4;
-  if (reference) {
-    cfg.scheduler = sim::SchedulerKind::Heap;
-    cfg.capture = trace::CaptureMode::Reference;
-  }
   cfg.obs = &run;
-  (void)apps::run_app(*info, cfg);
+  if (streamed) {
+    NullSink sink;
+    cfg.stream_chunk_records = 64;
+    (void)apps::run_app_stream(*info, sink, cfg);
+  } else {
+    (void)apps::run_app(*info, cfg);
+  }
   (void)threads;  // the capture side is thread-free; knob kept for symmetry
 
   std::ostringstream os;
@@ -205,7 +215,7 @@ std::string stable_section(const std::string& json) {
 
 TEST(ObsExport, StableSectionIdenticalAcrossThreadsAndCapture) {
   const std::string baseline =
-      stable_section(obs_json(/*threads=*/1, /*reference=*/false));
+      stable_section(obs_json(/*threads=*/1, /*streamed=*/false));
   EXPECT_NE(baseline.find("\"ledger\""), std::string::npos);
   EXPECT_EQ(stable_section(obs_json(4, false)), baseline);
   EXPECT_EQ(stable_section(obs_json(1, true)), baseline);

@@ -1,14 +1,16 @@
-// Differential tests for the two-tier bucketed scheduler against the
-// retained heap oracle (sim::SchedulerKind::Heap): over seeded random
-// schedules — delay(0) fairness bursts, near-window delays, far-future
-// wakeups straddling the ring boundary, and TaskKilled unwinding in the
-// middle of a same-time bucket — both scheduler kinds must produce the
-// exact same firing sequence, event for event. This pins the engine's
-// determinism contract: events fire in (time, insertion-seq) order no
-// matter which tier holds them.
+// The engine's determinism contract as a property: events fire in
+// (time, insertion-seq) order. Over seeded random schedules — delay(0)
+// fairness bursts, short delays and far-future wakeups — every firing
+// lands at the time it was scheduled for, and the firing sequence equals
+// the schedule sorted by (time, seq), the reference order. Plus the edge
+// cases that order has to survive: same-time FIFO, TaskKilled unwinding
+// in the middle of a same-time burst, wait-queue wakes, past-scheduling
+// rejection, and long same-time bursts.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -23,127 +25,128 @@ namespace {
 /// One firing observation: (task id, simulated time).
 using Firing = std::pair<int, SimTime>;
 
-/// Drive `ntasks` coroutines through `rounds` delays drawn from a seeded
-/// distribution that is deliberately delay(0)-heavy with a tail straddling
-/// the ring window (0 .. well past kRingWindow=64), recording every
-/// resumption.
-std::vector<Firing> random_schedule(SchedulerKind kind, std::uint64_t seed,
-                                    int ntasks, int rounds) {
-  Engine e(kind);
-  std::vector<Firing> firings;
-  auto proc = [](Engine* eng, int id, std::uint64_t task_seed, int n,
-                 std::vector<Firing>* out) -> Task<void> {
+/// One scheduled delay as the test saw it: the time it must fire at and
+/// its position in schedule-call order (the engine's insertion seq
+/// restricted to the test's own events).
+struct Scheduled {
+  SimTime time = 0;
+  std::uint64_t seq = 0;
+  SimTime fired_at = -1;
+  bool operator<(const Scheduled& o) const {
+    return std::tie(time, seq) < std::tie(o.time, o.seq);
+  }
+};
+
+/// Drive `ntasks` coroutines through `rounds` delays drawn from a seeded,
+/// delay(0)-heavy distribution with a tail of far-future wakeups. Returns
+/// every scheduled delay in firing order.
+std::vector<Scheduled> random_schedule(std::uint64_t seed, int ntasks,
+                                       int rounds) {
+  Engine e;
+  std::vector<Scheduled> fired;
+  std::uint64_t next_seq = 0;
+  auto proc = [](Engine* eng, std::uint64_t task_seed, int n,
+                 std::uint64_t* seq, std::vector<Scheduled>* out) -> Task<void> {
     Rng rng(task_seed);
     for (int i = 0; i < n; ++i) {
       SimDuration d = 0;
       const auto roll = rng.below(100);
       if (roll >= 70 && roll < 85) {
-        d = static_cast<SimDuration>(1 + rng.below(63));  // inside the ring
+        d = static_cast<SimDuration>(1 + rng.below(63));
       } else if (roll >= 85) {
-        d = static_cast<SimDuration>(64 + rng.below(500));  // far heap tier
+        d = static_cast<SimDuration>(64 + rng.below(500));
       }
+      // co_await schedules synchronously, so no other event can take a
+      // seq between this increment and the engine's.
+      Scheduled s{eng->now() + d, (*seq)++};
       co_await eng->delay(d);
-      out->emplace_back(id, eng->now());
+      s.fired_at = eng->now();
+      out->push_back(s);
     }
   };
   for (int id = 0; id < ntasks; ++id) {
-    e.spawn(proc(&e, id, seed * 1000003 + static_cast<std::uint64_t>(id),
-                 rounds, &firings));
+    e.spawn(proc(&e, seed * 1000003 + static_cast<std::uint64_t>(id), rounds,
+                 &next_seq, &fired));
   }
   e.run();
-  return firings;
+  return fired;
 }
 
-TEST(SchedulerDiff, RandomSchedulesFireIdenticallyAcrossKinds) {
+TEST(SchedulerDiff, RandomSchedulesFireInTimeSeqOrder) {
   for (std::uint64_t seed = 0; seed < 25; ++seed) {
-    const auto bucketed =
-        random_schedule(SchedulerKind::Bucketed, seed, 24, 40);
-    const auto heap = random_schedule(SchedulerKind::Heap, seed, 24, 40);
-    ASSERT_EQ(bucketed, heap) << "seed=" << seed;
+    const auto fired = random_schedule(seed, 24, 40);
+    ASSERT_EQ(fired.size(), 24u * 40u) << "seed=" << seed;
+    for (const Scheduled& s : fired) {
+      ASSERT_EQ(s.fired_at, s.time) << "seed=" << seed << " seq=" << s.seq;
+    }
+    auto reference = fired;
+    std::sort(reference.begin(), reference.end());
+    for (std::size_t i = 0; i < fired.size(); ++i) {
+      ASSERT_EQ(fired[i].seq, reference[i].seq)
+          << "seed=" << seed << " firing " << i;
+    }
   }
 }
 
 TEST(SchedulerDiff, SameTimeEventsFireInInsertionOrder) {
   // The fairness contract behind delay(0): at one timestamp, coroutines
-  // resume in the order they suspended — round-robin, insertion stable —
-  // under both scheduler kinds.
-  for (const auto kind : {SchedulerKind::Bucketed, SchedulerKind::Heap}) {
-    Engine e(kind);
-    std::vector<int> order;
-    auto proc = [](Engine* eng, int id, std::vector<int>* out) -> Task<void> {
-      for (int round = 0; round < 3; ++round) {
-        co_await eng->delay(0);
-        out->push_back(id + round * 100);
-      }
-    };
-    for (int id = 0; id < 8; ++id) e.spawn(proc(&e, id, &order));
-    e.run();
-    std::vector<int> want;
+  // resume in the order they suspended — round-robin, insertion stable.
+  Engine e;
+  std::vector<int> order;
+  auto proc = [](Engine* eng, int id, std::vector<int>* out) -> Task<void> {
     for (int round = 0; round < 3; ++round) {
-      for (int id = 0; id < 8; ++id) want.push_back(id + round * 100);
+      co_await eng->delay(0);
+      out->push_back(id + round * 100);
     }
-    EXPECT_EQ(order, want) << "kind=" << static_cast<int>(kind);
-    EXPECT_EQ(e.now(), 0);
+  };
+  for (int id = 0; id < 8; ++id) e.spawn(proc(&e, id, &order));
+  e.run();
+  std::vector<int> want;
+  for (int round = 0; round < 3; ++round) {
+    for (int id = 0; id < 8; ++id) want.push_back(id + round * 100);
   }
+  EXPECT_EQ(order, want);
+  EXPECT_EQ(e.now(), 0);
 }
 
 TEST(SchedulerDiff, TaskKilledMidBucketUnwindsIdentically) {
-  // One task of a same-time cohort dies via TaskKilled partway through a
-  // delay(0) burst; the survivors' firing order, the killed count, and
-  // the final dispatch tally must match across scheduler kinds.
-  auto run_kind = [](SchedulerKind kind) {
-    Engine e(kind);
-    std::vector<Firing> firings;
-    auto proc = [](Engine* eng, int id, std::vector<Firing>* out) -> Task<void> {
-      for (int i = 0; i < 6; ++i) {
-        co_await eng->delay(0);
-        if (id == 3 && i == 2) throw TaskKilled(id);
-        out->emplace_back(id, eng->now());
-      }
-      co_await eng->delay(10);
-      out->emplace_back(id + 1000, eng->now());
-    };
-    for (int id = 0; id < 8; ++id) e.spawn(proc(&e, id, &firings), id);
-    e.run();
-    return std::tuple{firings, e.killed_roots(), e.events_dispatched()};
-  };
-  const auto bucketed = run_kind(SchedulerKind::Bucketed);
-  const auto heap = run_kind(SchedulerKind::Heap);
-  EXPECT_EQ(std::get<0>(bucketed), std::get<0>(heap));
-  EXPECT_EQ(std::get<1>(bucketed), 1);
-  EXPECT_EQ(std::get<1>(heap), 1);
-  EXPECT_EQ(std::get<2>(bucketed), std::get<2>(heap));
-}
-
-TEST(SchedulerDiff, RingBoundaryDelaysInterleaveWithHeapTier) {
-  // Delays of exactly window-1 / window / window+1 ns land in different
-  // tiers of the bucketed scheduler but must still fire in strict
-  // (time, seq) order, identical to the heap oracle.
-  auto run_kind = [](SchedulerKind kind) {
-    Engine e(kind);
-    std::vector<Firing> firings;
-    auto proc = [](Engine* eng, int id, SimDuration d,
-                   std::vector<Firing>* out) -> Task<void> {
-      co_await eng->delay(d);
+  // One task of a same-time bucket of events dies via TaskKilled partway
+  // through a delay(0) burst; the firings must be identical to the
+  // reference order: the survivors keep their round-robin order, and the
+  // killed task's remaining events never fire.
+  Engine e;
+  std::vector<Firing> firings;
+  auto proc = [](Engine* eng, int id, std::vector<Firing>* out) -> Task<void> {
+    for (int i = 0; i < 6; ++i) {
+      co_await eng->delay(0);
+      if (id == 3 && i == 2) throw TaskKilled(id);
       out->emplace_back(id, eng->now());
-      co_await eng->delay(d);
-      out->emplace_back(id + 100, eng->now());
-    };
-    int id = 0;
-    for (const SimDuration d : {63, 64, 65, 0, 1, 127, 128, 2, 63, 64}) {
-      e.spawn(proc(&e, id++, d, &firings));
     }
-    e.run();
-    return firings;
+    co_await eng->delay(10);
+    out->emplace_back(id + 1000, eng->now());
   };
-  EXPECT_EQ(run_kind(SchedulerKind::Bucketed), run_kind(SchedulerKind::Heap));
+  for (int id = 0; id < 8; ++id) e.spawn(proc(&e, id, &firings), id);
+  e.run();
+  std::vector<Firing> want;
+  for (int i = 0; i < 6; ++i) {
+    for (int id = 0; id < 8; ++id) {
+      if (id != 3 || i < 2) want.emplace_back(id, 0);
+    }
+  }
+  for (int id = 0; id < 8; ++id) {
+    if (id != 3) want.emplace_back(id + 1000, 10);
+  }
+  EXPECT_EQ(firings, want);
+  EXPECT_EQ(e.killed_roots(), 1);
+  EXPECT_EQ(e.live_roots(), 0);
+  // 8 root starts, 7 x 7 survivor delays, 3 delays of the killed task.
+  EXPECT_EQ(e.events_dispatched(), 8u + 7u * 7u + 3u);
 }
 
 TEST(SchedulerDiff, WaitQueueWakesPreserveFifoUnderBucketing) {
-  // WaitQueue::wake_all reschedules at the current time — straight into
-  // the current bucket — and must keep FIFO park order.
+  // WaitQueue::wake_all reschedules every parked waiter into one
+  // same-time bucket at the current time and must keep FIFO park order.
   Engine e;
-  ASSERT_EQ(e.scheduler(), SchedulerKind::Bucketed);
   WaitQueue wq(e);
   std::vector<int> order;
   auto waiter = [](WaitQueue* q, int id, std::vector<int>* out) -> Task<void> {
@@ -162,19 +165,29 @@ TEST(SchedulerDiff, WaitQueueWakesPreserveFifoUnderBucketing) {
 }
 
 TEST(SchedulerDiff, PastSchedulingRejectedInBothKinds) {
-  for (const auto kind : {SchedulerKind::Bucketed, SchedulerKind::Heap}) {
-    Engine e(kind);
-    auto proc = [](Engine* eng) -> Task<void> { co_await eng->delay(100); };
-    e.spawn(proc(&e));
-    e.run();
-    EXPECT_EQ(e.now(), 100);
-    EXPECT_THROW(e.schedule(50, std::noop_coroutine()), Error);
-  }
+  // Both ways into the queue refuse the simulated past: schedule() with
+  // an absolute time, and a negative delay() from inside a task.
+  Engine e;
+  bool rejected = false;
+  auto proc = [](Engine* eng, bool* out) -> Task<void> {
+    co_await eng->delay(100);
+    try {
+      co_await eng->delay(-1);
+    } catch (const Error&) {
+      *out = true;
+    }
+  };
+  e.spawn(proc(&e, &rejected));
+  e.run();
+  EXPECT_TRUE(rejected);
+  EXPECT_EQ(e.now(), 100);
+  EXPECT_THROW(e.schedule(50, std::noop_coroutine()), Error);
 }
 
 TEST(SchedulerDiff, LongSameTimeBurstStaysOrderedAndBounded) {
-  // Thousands of delay(0) round-trips at one timestamp exercise the
-  // bucket's consumed-prefix compaction; order must stay exact.
+  // Thousands of delay(0) round-trips at one timestamp; the order must
+  // stay exact, and the dispatch count is bounded by exactly one event
+  // per round-trip plus one start per root.
   Engine e;
   std::vector<int> order;
   auto proc = [](Engine* eng, int id, std::vector<int>* out) -> Task<void> {
