@@ -524,6 +524,10 @@ core::StreamAnalyzer::WindowedResult stream_windowed_config(
     const apps::AppInfo& info, Options& opt) {
   return spill_and_drain(
       info, opt, [&](trace::StreamMeta meta, trace::ChunkReader& reader) {
+        // The windowed analysis never reads the comm log, and at scale it
+        // is the largest thing the capture hands over: free it before the
+        // replay (the trailer keeps it, validated but not decoded).
+        meta.comm = {};
         core::StreamAnalyzer analyzer(meta.nranks, std::move(meta.paths),
                                       std::move(meta.rank_posix_counts),
                                       meta.file_op_counts);

@@ -24,6 +24,7 @@ namespace pfsem::trace {
 namespace {
 
 constexpr char kMagic2[8] = {'P', 'F', 'S', 'E', 'M', 'T', 'R', '2'};
+constexpr std::size_t kCommPiece = std::size_t{64} << 10;
 
 using detail::get_string;
 using detail::get_varint;
@@ -36,7 +37,12 @@ using detail::zigzag;
 
 namespace detail {
 
-void write_comm(const CommLog& comm, std::string& out) {
+namespace {
+
+/// The one comm-log encoder; `boundary` runs after every p2p event,
+/// collective header and arrival, where the bytes may be cut.
+template <typename Boundary>
+void encode_comm(const CommLog& comm, std::string& out, Boundary boundary) {
   put_varint(out, comm.p2p.size());
   for (const auto& e : comm.p2p) {
     put_varint(out, static_cast<std::uint64_t>(e.src));
@@ -47,24 +53,49 @@ void write_comm(const CommLog& comm, std::string& out) {
     put_varint(out, zigzag(e.t_send_end - e.t_send_start));
     put_varint(out, zigzag(e.t_recv_start - e.t_send_start));
     put_varint(out, zigzag(e.t_recv_end - e.t_recv_start));
+    boundary();
   }
   put_varint(out, comm.collectives.size());
   for (const auto& c : comm.collectives) {
     put_varint(out, static_cast<std::uint64_t>(c.kind));
     put_varint(out, zigzag(c.root));
     put_varint(out, c.arrivals.size());
+    boundary();
     for (const auto& a : c.arrivals) {
       put_varint(out, static_cast<std::uint64_t>(a.rank));
       put_varint(out, zigzag(a.t_enter));
       put_varint(out, zigzag(a.t_exit - a.t_enter));
+      boundary();
     }
   }
 }
 
-CommLog read_comm(std::istream& is, int nranks) {
-  CommLog comm;
+}  // namespace
+
+void write_comm(const CommLog& comm, std::string& out) {
+  encode_comm(comm, out, [] {});
+}
+
+void write_comm(const CommLog& comm, std::string& out, std::size_t piece,
+                const std::function<void(std::string&)>& flush) {
+  encode_comm(comm, out, [&] {
+    if (out.size() >= piece) flush(out);
+  });
+}
+
+void scan_comm(std::istream& is, int nranks, CommLog* out) {
+  // Messages are built only on failure, as in HappensBefore's validation.
+  const auto check_rank = [nranks](Rank r, const char* event,
+                                   std::uint64_t i, const char* field) {
+    if (r >= 0 && r < nranks) return;
+    fail(std::string(event) + " " + std::to_string(i) + ": " + field + " " +
+         std::to_string(r) + " out of range [0, " + std::to_string(nranks) +
+         ")");
+  };
   const auto np2p = get_varint(is);
-  comm.p2p.reserve(std::min<std::uint64_t>(np2p, 1u << 20));
+  if (out != nullptr) {
+    out->p2p.reserve(std::min<std::uint64_t>(np2p, 1u << 20));
+  }
   for (std::uint64_t i = 0; i < np2p; ++i) {
     P2PEvent e;
     e.src = static_cast<Rank>(get_varint(is));
@@ -75,25 +106,42 @@ CommLog read_comm(std::istream& is, int nranks) {
     e.t_send_end = e.t_send_start + unzigzag(get_varint(is));
     e.t_recv_start = e.t_send_start + unzigzag(get_varint(is));
     e.t_recv_end = e.t_recv_start + unzigzag(get_varint(is));
-    comm.p2p.push_back(e);
+    if (out != nullptr) {
+      out->p2p.push_back(e);
+    } else {
+      check_rank(e.src, "p2p event", i, "rank");
+      check_rank(e.dst, "p2p event", i, "rank");
+    }
   }
   const auto ncoll = get_varint(is);
-  comm.collectives.reserve(std::min<std::uint64_t>(ncoll, 1u << 20));
+  if (out != nullptr) {
+    out->collectives.reserve(std::min<std::uint64_t>(ncoll, 1u << 20));
+  }
   for (std::uint64_t i = 0; i < ncoll; ++i) {
     CollectiveEvent c;
     c.kind = static_cast<CollectiveKind>(get_varint(is));
     c.root = static_cast<Rank>(unzigzag(get_varint(is)));
     const auto na = get_varint(is);
     require(na <= static_cast<std::uint64_t>(nranks), "bad arrival count");
+    if (out != nullptr) c.arrivals.reserve(na);
     for (std::uint64_t j = 0; j < na; ++j) {
       CollectiveArrival a;
       a.rank = static_cast<Rank>(get_varint(is));
       a.t_enter = unzigzag(get_varint(is));
       a.t_exit = a.t_enter + unzigzag(get_varint(is));
-      c.arrivals.push_back(a);
+      if (out != nullptr) {
+        c.arrivals.push_back(a);
+      } else {
+        check_rank(a.rank, "collective", i, "arrival rank");
+      }
     }
-    comm.collectives.push_back(std::move(c));
+    if (out != nullptr) out->collectives.push_back(std::move(c));
   }
+}
+
+CommLog read_comm(std::istream& is, int nranks) {
+  CommLog comm;
+  scan_comm(is, nranks, &comm);
   return comm;
 }
 
@@ -145,9 +193,14 @@ void write_compact_streamed(int nranks, const PathTable& paths,
   require(emitted == record_count,
           "record scan count mismatch in compact trace write");
 
-  std::string comm_bytes;
-  detail::write_comm(comm, comm_bytes);
-  os.write(comm_bytes.data(), static_cast<std::streamsize>(comm_bytes.size()));
+  // The comm log goes out in bounded pieces: it can dwarf the records.
+  std::string piece;
+  const auto flush = [&os](std::string& bytes) {
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    bytes.clear();
+  };
+  detail::write_comm(comm, piece, kCommPiece, flush);
+  flush(piece);
   require(static_cast<bool>(os), "compact trace write failure");
 }
 

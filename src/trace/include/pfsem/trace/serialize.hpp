@@ -80,7 +80,20 @@ namespace detail {
 /// spill trailer (spill.cpp) — one definition, formats cannot drift.
 /// The writer appends to a byte buffer (millions of varints at scale).
 void write_comm(const CommLog& comm, std::string& out);
+/// The same bytes written piecewise: whenever `out` holds at least
+/// `piece` bytes (checked after each p2p event, collective header and
+/// arrival) it is handed to `flush`, which takes the bytes and leaves
+/// `out` empty. The unflushed tail stays in `out`. A log of any size
+/// never needs more than about `piece` bytes of buffer.
+void write_comm(const CommLog& comm, std::string& out, std::size_t piece,
+                const std::function<void(std::string&)>& flush);
 [[nodiscard]] CommLog read_comm(std::istream& is, int nranks);
+/// Decode a comm log field by field, with read_comm's checks, appending
+/// each event to `*out`, or, with `out == nullptr`, only walking it.
+/// A walked log is never seen by HappensBefore (which validates every
+/// materialized one), so the walk also rejects a p2p or arrival rank
+/// outside [0, nranks).
+void scan_comm(std::istream& is, int nranks, CommLog* out);
 }  // namespace detail
 
 }  // namespace pfsem::trace

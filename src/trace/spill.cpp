@@ -25,23 +25,35 @@ using detail::put_varint;
 using detail::unzigzag;
 using detail::zigzag;
 
-/// Read-only stream whose get area is a borrowed byte buffer.
-class MemoryStream final : public std::istream {
+/// Read-only stream over borrowed segments, in order: each segment in
+/// turn becomes the get area, so nothing is copied or joined.
+class SegmentStream final : public std::istream {
  public:
-  explicit MemoryStream(std::string_view bytes)
-      : std::istream(nullptr), buf_(bytes) {
+  explicit SegmentStream(const std::vector<std::string>& segs)
+      : std::istream(nullptr), buf_(segs) {
     rdbuf(&buf_);
   }
 
  private:
-  struct ViewBuf final : std::streambuf {
-    explicit ViewBuf(std::string_view bytes) {
-      // The get area is never written through; streambuf just wants char*.
-      char* const p = const_cast<char*>(bytes.data());
-      setg(p, p, p + bytes.size());
+  struct SegmentBuf final : std::streambuf {
+    explicit SegmentBuf(const std::vector<std::string>& all) : segs(all) {}
+
+    int_type underflow() override {
+      while (next < segs.size()) {
+        const std::string& s = segs[next++];
+        if (s.empty()) continue;
+        // The get area is never written through; streambuf just wants char*.
+        char* const p = const_cast<char*>(s.data());
+        setg(p, p, p + s.size());
+        return traits_type::to_int_type(*p);
+      }
+      return traits_type::eof();
     }
+
+    const std::vector<std::string>& segs;
+    std::size_t next = 0;
   };
-  ViewBuf buf_;
+  SegmentBuf buf_;
 };
 
 std::string fresh_spill_path() {
@@ -65,32 +77,63 @@ SpillStore::~SpillStore() {
   }
 }
 
-void SpillStore::append(std::string_view bytes) {
+bool SpillStore::spill_for(std::size_t incoming) {
   require(!reading_, "SpillStore::append after open_read");
-  if (path_.empty() && mem_.size() + bytes.size() > ceiling_) {
+  if (path_.empty() && mem_ + incoming > ceiling_) {
     path_ = fresh_spill_path();
     file_.open(path_, std::ios::binary | std::ios::trunc);
     require(static_cast<bool>(file_), "cannot open spill file " + path_);
-    file_.write(mem_.data(), static_cast<std::streamsize>(mem_.size()));
-    mem_.clear();
-    mem_.shrink_to_fit();
+    for (const auto& seg : segs_) write_file(seg);
+    std::vector<std::string>().swap(segs_);
+    mem_ = 0;
   }
-  if (path_.empty()) {
-    mem_.append(bytes);
-    peak_mem_ = std::max(peak_mem_, mem_.size());
+  return !path_.empty();
+}
+
+void SpillStore::write_file(std::string_view bytes) {
+  file_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  require(static_cast<bool>(file_), "spill file write failure");
+}
+
+void SpillStore::append(std::string_view bytes) {
+  if (spill_for(bytes.size())) {
+    write_file(bytes);
   } else {
-    file_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    require(static_cast<bool>(file_), "spill file write failure");
+    if (!segs_.empty() &&
+        segs_.back().capacity() - segs_.back().size() >= bytes.size()) {
+      segs_.back().append(bytes);  // fits the tail's spare room: no realloc
+    } else {
+      segs_.emplace_back(bytes);
+    }
+    note_mem(bytes.size());
   }
   total_ += bytes.size();
+}
+
+void SpillStore::adopt(std::string&& bytes) {
+  const std::size_t n = bytes.size();
+  if (spill_for(n)) {
+    write_file(bytes);
+    std::string().swap(bytes);
+  } else {
+    segs_.push_back(std::move(bytes));
+    bytes.clear();  // moved-from: valid but unspecified
+    note_mem(n);
+  }
+  total_ += n;
+}
+
+void SpillStore::note_mem(std::size_t added) {
+  mem_ += added;
+  peak_mem_ = std::max(peak_mem_, mem_);
 }
 
 std::unique_ptr<std::istream> SpillStore::open_read() {
   reading_ = true;
   if (path_.empty()) {
-    // Unspilled: a read-only view of the buffer, no copy. Every call
+    // Unspilled: a read-only view of the segments, no copy. Every call
     // starts a fresh view, so the store stays re-readable.
-    return std::make_unique<MemoryStream>(mem_);
+    return std::make_unique<SegmentStream>(segs_);
   }
   file_.flush();
   auto in = std::make_unique<std::ifstream>(path_, std::ios::binary);
@@ -112,6 +155,7 @@ void ChunkWriter::on_records(std::uint64_t base_seq,
   require(base_seq == expected_seq_, "ChunkWriter fed out of order");
   if (records.empty()) return;
   buf_.clear();
+  buf_.reserve(chunk_hint_);
   buf_.push_back(kChunkMarker);
   put_varint(buf_, base_seq);
   put_varint(buf_, records.size());
@@ -133,7 +177,11 @@ void ChunkWriter::on_records(std::uint64_t base_seq,
                          ? 0
                          : static_cast<std::uint64_t>(r.file) + 1);
   }
-  store_.append(buf_);
+  // A chunk that outgrew the hint doubled its buffer; trim it, so no
+  // adopted chunk holds more than a quarter of its size in slack.
+  if (buf_.capacity() - buf_.size() > buf_.size() / 4) buf_.shrink_to_fit();
+  chunk_hint_ = buf_.size() + buf_.size() / 8;
+  store_.adopt(std::move(buf_));
   expected_seq_ += records.size();
 }
 
@@ -142,16 +190,25 @@ void ChunkWriter::finish(const StreamMeta& meta) {
   require(meta.records == expected_seq_,
           "stream meta record count does not match the chunks written");
   finished_ = true;
+  // Full pieces go to the store as they fill; the tail is copied into an
+  // exact-size segment, so no piece keeps more than an eighth of slack.
+  constexpr std::size_t kPieceCapacity = kTrailerPiece + kTrailerPiece / 8;
+  const auto flush = [this](std::string& piece) {
+    store_.adopt(std::move(piece));
+    piece.reserve(kPieceCapacity);
+  };
   buf_.clear();
+  buf_.reserve(kPieceCapacity);
   buf_.push_back(kTrailerMarker);
   put_varint(buf_, meta.records);
   put_varint(buf_, meta.paths.size());
   for (std::size_t i = 0; i < meta.paths.size(); ++i) {
     detail::put_string(buf_, meta.paths.view(static_cast<FileId>(i)));
+    if (buf_.size() >= kTrailerPiece) flush(buf_);
   }
-  detail::write_comm(meta.comm, buf_);
+  detail::write_comm(meta.comm, buf_, kTrailerPiece, flush);
   store_.append(buf_);
-  std::string().swap(buf_);  // the trailer can dwarf a chunk
+  std::string().swap(buf_);
 }
 
 ChunkReader::ChunkReader(std::istream& is) : is_(is) {
@@ -211,7 +268,7 @@ bool ChunkReader::next(Record& out) {
   return true;
 }
 
-ChunkReader::Trailer ChunkReader::read_trailer() {
+ChunkReader::Trailer ChunkReader::read_trailer(bool with_comm) {
   require(at_trailer_, "trailer read before the record stream was drained");
   Trailer t;
   t.records = get_varint(is_);
@@ -225,7 +282,7 @@ ChunkReader::Trailer ChunkReader::read_trailer() {
   }
   require(!any_file_seen_ || max_file_seen_ < t.paths.size(),
           "bad path id in chunk stream");
-  t.comm = detail::read_comm(is_, nranks_);
+  detail::scan_comm(is_, nranks_, with_comm ? &t.comm : nullptr);
   return t;
 }
 

@@ -171,10 +171,13 @@ bool write_durable(const WriteRecord& w, const ResolveEnv& env, SimTime now) {
 }
 
 void FileCore::clear_pending() {
-  for (auto& rs : ranks) {
+  for (const std::uint32_t slot : pending_slots) {
+    RankState& rs = ranks[slot];
     rs.unpublished.clear();
     rs.committed = 0;
+    rs.pending_pos = RankState::kNotPending;
   }
+  pending_slots.clear();
   orphans.clear();
 }
 
@@ -200,7 +203,8 @@ void FileCore::rebuild_index() {
     }
     index_write(i, slot);
   }
-  for (auto& rs : ranks) {
+  for (const std::uint32_t slot : pending_slots) {
+    RankState& rs = ranks[slot];
     rs.committed = static_cast<std::uint32_t>(std::count_if(
         rs.unpublished.begin(), rs.unpublished.end(),
         [&](std::uint32_t i) { return writes[i].t_commit != kTimeNever; }));
@@ -223,7 +227,25 @@ std::uint32_t FileCore::add_rank(Rank r) {
         [&](std::uint32_t i) { return writes[i].t_commit != kTimeNever; }));
   }
   ranks.push_back(std::move(rs));
-  return static_cast<std::uint32_t>(ranks.size() - 1);
+  const auto slot = static_cast<std::uint32_t>(ranks.size() - 1);
+  if (!ranks[slot].unpublished.empty()) mark_pending(slot);
+  return slot;
+}
+
+void FileCore::remove_rank(std::uint32_t slot) {
+  RankState& rs = ranks[slot];
+  orphans.insert(orphans.end(), rs.unpublished.begin(), rs.unpublished.end());
+  unmark_pending(rs);
+  const std::size_t last = ranks.size() - 1;
+  if (slot != last) {
+    rs = std::move(ranks[last]);
+    if (rs.pending_pos != RankState::kNotPending) {
+      pending_slots[rs.pending_pos] = slot;
+    }
+  }
+  ranks.pop_back();
+  // Most files are closed for good once their last descriptor goes.
+  if (ranks.empty()) std::vector<RankState>().swap(ranks);
 }
 
 SimDuration charge_locks(FileCore& f, RankState& rs, Extent ext,
@@ -305,6 +327,7 @@ void publish_writes(FileCore& f, RankState& rs, SimTime now) {
   }
   rs.unpublished.clear();
   rs.committed = 0;
+  f.unmark_pending(rs);
 }
 
 std::vector<VersionTag> apply_rank_crash(

@@ -74,6 +74,10 @@ struct RankState {
   /// Lock blocks acquired since the last release. A revocation leaves a
   /// stale entry behind; releasing a block no longer held is a no-op.
   std::vector<Offset> held;
+  /// This entry's index in FileCore::pending_slots, or kNotPending when
+  /// `unpublished` is empty.
+  static constexpr std::uint32_t kNotPending = ~std::uint32_t{0};
+  std::uint32_t pending_pos = kNotPending;
 };
 
 /// Piece of a resolved read range: [begin, end) carries version v by w.
@@ -124,6 +128,11 @@ struct FileCore {
   /// history built without handles). A later open by the writer adopts
   /// its entries.
   std::vector<std::uint32_t> orphans;
+  /// The slots of `ranks` whose `unpublished` is non-empty, unordered
+  /// (each entry's RankState::pending_pos points back here), so
+  /// clear_pending() costs O(ranks with pending writes) however many
+  /// ranks hold the file open.
+  std::vector<std::uint32_t> pending_slots;
 
   /// Index write `idx` (just appended): its blocks, and — when it is not
   /// yet published — its writer's pending list (`slot` = the writer's
@@ -132,7 +141,9 @@ struct FileCore {
     const WriteRecord& w = writes[idx];
     if (w.t_publish == kTimeNever) {
       if (slot >= 0) {
-        ranks[static_cast<std::size_t>(slot)].unpublished.push_back(idx);
+        const auto s = static_cast<std::uint32_t>(slot);
+        ranks[s].unpublished.push_back(idx);
+        mark_pending(s);
       } else {
         orphans.push_back(idx);
       }
@@ -151,6 +162,26 @@ struct FileCore {
   /// Add a fresh entry for rank `r` to `ranks`, adopting its orphans;
   /// returns the slot.
   std::uint32_t add_rank(Rank r);
+  /// Drop the entry at `slot` (its rank closed its last descriptor): its
+  /// pending writes become orphans, and the last entry moves into `slot`
+  /// (the caller re-points that rank's handles).
+  void remove_rank(std::uint32_t slot);
+  /// Record that `ranks[slot].unpublished` is non-empty.
+  void mark_pending(std::uint32_t slot) {
+    RankState& rs = ranks[slot];
+    if (rs.pending_pos != RankState::kNotPending) return;
+    rs.pending_pos = static_cast<std::uint32_t>(pending_slots.size());
+    pending_slots.push_back(slot);
+  }
+  /// Record that `rs.unpublished` is empty again.
+  void unmark_pending(RankState& rs) {
+    if (rs.pending_pos == RankState::kNotPending) return;
+    const std::uint32_t moved = pending_slots.back();
+    pending_slots[rs.pending_pos] = moved;
+    ranks[moved].pending_pos = rs.pending_pos;
+    pending_slots.pop_back();
+    rs.pending_pos = RankState::kNotPending;
+  }
 };
 
 /// Consistency environment shared by visibility resolution and crash

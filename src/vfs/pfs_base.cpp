@@ -74,18 +74,12 @@ void PfsBase::detach(File& f, Rank r, std::uint32_t slot) {
   }
   // Whatever the rank still owes (a lost commit, a crash) waits for its
   // next open of the file.
-  f.orphans.insert(f.orphans.end(), rs.unpublished.begin(),
-                   rs.unpublished.end());
-  const std::size_t last = f.ranks.size() - 1;
-  if (slot != last) {
-    f.ranks[slot] = std::move(f.ranks[last]);
+  f.remove_rank(slot);
+  if (slot < f.ranks.size()) {  // the last entry moved into `slot`
     for (auto& e : open_files_.row(f.ranks[slot].rank)) {
       if (e.value.file.get() == &f) e.value.slot = slot;
     }
   }
-  f.ranks.pop_back();
-  // Most files are closed for good once their last descriptor goes.
-  if (f.ranks.empty()) std::vector<detail::RankState>().swap(f.ranks);
 }
 
 std::shared_ptr<PfsBase::File> PfsBase::lookup(const std::string& path) const {

@@ -15,6 +15,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "pfsem/core/conflict.hpp"
@@ -360,18 +361,23 @@ std::string chunk_fixture() {
   return s;
 }
 
-/// Drain a chunk stream back into a TraceBundle (records + trailer).
-TraceBundle decode_chunks(const std::string& bytes) {
-  std::istringstream is(bytes);
+/// Drain a chunk stream back into a TraceBundle (records + trailer,
+/// comm log included).
+TraceBundle decode_chunks(std::istream& is) {
   ChunkReader reader(is);
   TraceBundle b;
   b.nranks = reader.nranks();
   Record rec;
   while (reader.next(rec)) b.records.push_back(rec);
-  auto trailer = reader.read_trailer();
+  auto trailer = reader.read_trailer(/*with_comm=*/true);
   b.paths = std::move(trailer.paths);
   b.comm = std::move(trailer.comm);
   return b;
+}
+
+TraceBundle decode_chunks(const std::string& bytes) {
+  std::istringstream is(bytes);
+  return decode_chunks(is);
 }
 
 TEST(ChunkStream, WriterMatchesHandCraftedFixtureExactly) {
@@ -452,6 +458,250 @@ TEST(ChunkStream, TrailerRecordCountMismatchRejected) {
   put_varint(bad, 9);  // stream carried 6
   bad += s.substr(t + 2);
   EXPECT_THROW((void)decode_chunks(bad), Error);
+}
+
+
+// --- the trailer's comm section ----------------------------------------
+
+/// A comm log of `ncoll` world collectives over `nranks` ranks plus
+/// `np2p` messages, with times and sizes that vary so every varint width
+/// shows up.
+CommLog synthetic_comm(int nranks, int ncoll, int np2p) {
+  CommLog comm;
+  for (int i = 0; i < np2p; ++i) {
+    P2PEvent e;
+    e.src = i % nranks;
+    e.dst = (i * 7 + 1) % nranks;
+    e.tag = i % 5 - 2;
+    e.bytes = std::uint64_t{1} << (i % 40);
+    e.t_send_start = 1000 + 37 * i;
+    e.t_send_end = e.t_send_start + i % 300;
+    e.t_recv_start = e.t_send_start + i % 11;
+    e.t_recv_end = e.t_recv_start + 90000 + i;
+    comm.p2p.push_back(e);
+  }
+  for (int c = 0; c < ncoll; ++c) {
+    CollectiveEvent ev;
+    ev.kind = static_cast<CollectiveKind>(c % 8);
+    ev.root = c % 2 == 0 ? kNoRank : c % nranks;
+    for (int r = 0; r < nranks; ++r) {
+      const SimTime t = 5'000'000 + SimTime{c} * 100'000 + (r * 13) % 977;
+      ev.arrivals.push_back({(r * 5 + c) % nranks, t, t + 4000 + r % 3});
+    }
+    comm.collectives.push_back(std::move(ev));
+  }
+  return comm;
+}
+
+void expect_same_comm(const CommLog& a, const CommLog& b) {
+  ASSERT_EQ(a.p2p.size(), b.p2p.size());
+  for (std::size_t i = 0; i < a.p2p.size(); ++i) {
+    const auto &x = a.p2p[i], &y = b.p2p[i];
+    ASSERT_EQ(std::tie(x.src, x.dst, x.tag, x.bytes, x.t_send_start,
+                       x.t_send_end, x.t_recv_start, x.t_recv_end),
+              std::tie(y.src, y.dst, y.tag, y.bytes, y.t_send_start,
+                       y.t_send_end, y.t_recv_start, y.t_recv_end))
+        << "p2p " << i;
+  }
+  ASSERT_EQ(a.collectives.size(), b.collectives.size());
+  for (std::size_t i = 0; i < a.collectives.size(); ++i) {
+    const auto &x = a.collectives[i], &y = b.collectives[i];
+    ASSERT_EQ(x.kind, y.kind) << "collective " << i;
+    ASSERT_EQ(x.root, y.root) << "collective " << i;
+    ASSERT_EQ(x.arrivals.size(), y.arrivals.size()) << "collective " << i;
+    for (std::size_t j = 0; j < x.arrivals.size(); ++j) {
+      ASSERT_EQ(std::tie(x.arrivals[j].rank, x.arrivals[j].t_enter,
+                         x.arrivals[j].t_exit),
+                std::tie(y.arrivals[j].rank, y.arrivals[j].t_enter,
+                         y.arrivals[j].t_exit))
+          << "collective " << i << " arrival " << j;
+    }
+  }
+}
+
+/// The chunk stream a writer produces for reference_bundle()'s records
+/// (one chunk) with `comm` as the trailer's comm log, on `store`.
+void write_with_comm(SpillStore& store, const CommLog& comm, int nranks) {
+  const auto b = reference_bundle();
+  ChunkWriter writer(store, nranks);
+  writer.on_records(0, b.records);
+  StreamMeta meta;
+  meta.nranks = nranks;
+  meta.paths = b.paths;
+  meta.comm = comm;
+  meta.records = b.records.size();
+  writer.finish(meta);
+}
+
+/// chunk_fixture() with its (empty) comm section replaced by `comm`
+/// encoded by detail::write_comm, and nranks by `nranks`: what
+/// ChunkWriter must produce, however it cuts the trailer.
+std::string fixture_with_comm(const CommLog& comm, int nranks) {
+  std::string s = chunk_fixture();
+  s.resize(s.size() - 2);  // drop the two empty-log varints
+  std::string comm_bytes;
+  detail::write_comm(comm, comm_bytes);
+  s += comm_bytes;
+  std::string head("PFSEMCK1", 8);
+  put_varint(head, static_cast<std::uint64_t>(nranks));
+  return head + s.substr(9);  // chunk_fixture()'s nranks is one byte
+}
+
+/// The same records in one chunk instead of two, so the expected bytes
+/// come from a single chunk header.
+std::string one_chunk(std::string two_chunks) {
+  const auto second = two_chunks.find('C', two_chunks.find('C', 8) + 1);
+  two_chunks.erase(second, 3);  // 'C' varint(3) varint(3)
+  const auto first = two_chunks.find('C', 8);
+  two_chunks[first + 2] = 6;  // the first chunk now carries all 6 records
+  return two_chunks;
+}
+
+std::string store_bytes(SpillStore& store) {
+  const auto in = store.open_read();
+  return {std::istreambuf_iterator<char>(*in), {}};
+}
+
+TEST(ChunkStream, PiecewiseTrailerMatchesWriteCommInMemoryAndSpilled) {
+  // 12 collectives over 40000 ranks plus 6000 messages: ~3.5 MB of comm
+  // log, so the trailer crosses the piecewise flush several times.
+  constexpr int kRanks = 40000;
+  const CommLog comm = synthetic_comm(kRanks, 12, 6000);
+  const std::string expected = one_chunk(fixture_with_comm(comm, kRanks));
+  ASSERT_GT(expected.size(), 3 * ChunkWriter::kTrailerPiece);
+
+  SpillStore in_memory;
+  write_with_comm(in_memory, comm, kRanks);
+  ASSERT_FALSE(in_memory.spilled());
+  EXPECT_EQ(in_memory.bytes(), expected.size());
+  EXPECT_EQ(in_memory.peak_memory(), expected.size());
+  ASSERT_EQ(store_bytes(in_memory), expected);
+
+  // A ceiling below the first chunk: the trailer lands in the file.
+  SpillStore spilled(64);
+  write_with_comm(spilled, comm, kRanks);
+  ASSERT_TRUE(spilled.spilled());
+  ASSERT_EQ(store_bytes(spilled), expected);
+
+  for (SpillStore* store : {&in_memory, &spilled}) {
+    const auto in = store->open_read();
+    const TraceBundle b = decode_chunks(*in);
+    EXPECT_EQ(b.records.size(), 6u);
+    expect_same_comm(b.comm, comm);
+  }
+  // And the walk that materializes nothing accepts the same bytes.
+  const auto in = in_memory.open_read();
+  ChunkReader reader(*in);
+  Record rec;
+  while (reader.next(rec)) {
+  }
+  const auto trailer = reader.read_trailer();
+  EXPECT_EQ(trailer.records, 6u);
+  EXPECT_TRUE(trailer.comm.p2p.empty());
+  EXPECT_TRUE(trailer.comm.collectives.empty());
+}
+
+/// Drain a chunk stream and read its trailer without the comm log.
+void walk_chunks(const std::string& bytes) {
+  std::istringstream is(bytes);
+  ChunkReader reader(is);
+  Record rec;
+  while (reader.next(rec)) {
+  }
+  (void)reader.read_trailer();
+}
+
+TEST(ChunkStream, EveryTruncationInsideCommSectionThrows) {
+  const CommLog comm = synthetic_comm(3, 4, 5);
+  const std::string full = fixture_with_comm(comm, 3);
+  std::string comm_bytes;
+  detail::write_comm(comm, comm_bytes);
+  ASSERT_EQ(full.substr(full.size() - comm_bytes.size()), comm_bytes);
+  EXPECT_NO_THROW(walk_chunks(full));
+  expect_same_comm(decode_chunks(full).comm, comm);
+  for (std::size_t len = full.size() - comm_bytes.size(); len < full.size();
+       ++len) {
+    const std::string cut = full.substr(0, len);
+    EXPECT_THROW(walk_chunks(cut), Error) << "prefix length " << len;
+    EXPECT_THROW((void)decode_chunks(cut), Error) << "prefix length " << len;
+  }
+}
+
+/// The error read_trailer() raises on `bytes`, or "" if it accepts them.
+std::string walk_error(const std::string& bytes) {
+  try {
+    walk_chunks(bytes);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ChunkStream, BadArrivalCountOrRankRejectedWithoutMaterializing) {
+  // chunk_fixture() is a 2-rank stream whose trailer ends in an empty
+  // comm log; splice in one-event logs with a bad field.
+  std::string base = chunk_fixture();
+  base.resize(base.size() - 2);
+  const auto with_log = [&](const auto& build) {
+    std::string s = base;
+    build(s);
+    return s;
+  };
+  const auto collective = [](std::string& s, std::uint64_t na,
+                             std::uint64_t rank) {
+    put_varint(s, 0);  // p2p
+    put_varint(s, 1);  // one collective
+    put_varint(s, static_cast<std::uint64_t>(CollectiveKind::Barrier));
+    put_varint(s, zz(kNoRank));
+    put_varint(s, na);
+    put_varint(s, rank);
+    put_varint(s, zz(10));
+    put_varint(s, zz(5));
+  };
+  const std::string good =
+      with_log([&](std::string& s) { collective(s, 1, 1); });
+  EXPECT_EQ(walk_error(good), "");
+
+  const std::string bad_count =
+      with_log([&](std::string& s) { collective(s, 3, 1); });
+  EXPECT_NE(walk_error(bad_count).find("bad arrival count"),
+            std::string::npos)
+      << walk_error(bad_count);
+  EXPECT_THROW((void)decode_chunks(bad_count), Error);
+
+  const std::string bad_rank =
+      with_log([&](std::string& s) { collective(s, 1, 5); });
+  EXPECT_NE(walk_error(bad_rank).find(
+                "collective 0: arrival rank 5 out of range [0, 2)"),
+            std::string::npos)
+      << walk_error(bad_rank);
+
+  const std::string bad_p2p = with_log([](std::string& s) {
+    put_varint(s, 1);  // one message, 0 -> 2
+    for (const std::uint64_t v : {0, 2, 0, 8, 0, 0, 0, 0}) put_varint(s, v);
+    put_varint(s, 0);  // collectives
+  });
+  EXPECT_NE(walk_error(bad_p2p).find("p2p event 0: rank 2 out of range [0, 2)"),
+            std::string::npos)
+      << walk_error(bad_p2p);
+}
+
+TEST(ChunkStream, SegmentedStoreDecodesAtEverySplit) {
+  // The store hands its segments to the reader one by one; a varint or a
+  // path string cut by a segment boundary must decode as if contiguous.
+  const std::string full = chunk_fixture();
+  const std::string oracle = analysis_fingerprint(decode_chunks(full));
+  for (std::size_t cut = 1; cut < full.size(); ++cut) {
+    SpillStore store;
+    store.append(full.substr(0, cut));
+    std::string rest = full.substr(cut);
+    store.adopt(std::move(rest));
+    for (int pass = 0; pass < 2; ++pass) {  // re-readable
+      const auto in = store.open_read();
+      ASSERT_EQ(analysis_fingerprint(decode_chunks(*in)), oracle)
+          << "cut at " << cut << " pass " << pass;
+    }
+  }
 }
 
 }  // namespace

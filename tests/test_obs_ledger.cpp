@@ -4,7 +4,9 @@
 //     hottest-rank tie-break, condense() freeing the rank dimension, and
 //     the record-after-condense guard.
 //  2. Early (window-retirement) vs late (export-time) condensation is
-//     byte-identical: the reductions commute with interleaving.
+//     byte-identical: the reductions commute with interleaving. A
+//     windowed FLASH-fbs drain proves retirement really condenses files
+//     (and frees their rank cells) mid-stream.
 //  3. The versioned JSON export format is pinned by fixture, and its
 //     stable section is byte-identical across analysis thread counts and
 //     capture pipelines (materialized, streaming) with the ledger enabled.
@@ -18,11 +20,14 @@
 #include <sstream>
 #include <string>
 
+#include "pfsem/apps/harness.hpp"
 #include "pfsem/apps/registry.hpp"
+#include "pfsem/core/stream_analyze.hpp"
 #include "pfsem/obs/diff.hpp"
 #include "pfsem/obs/export.hpp"
 #include "pfsem/obs/ledger.hpp"
 #include "pfsem/obs/obs.hpp"
+#include "pfsem/trace/spill.hpp"
 #include "pfsem/util/error.hpp"
 
 namespace {
@@ -211,6 +216,77 @@ std::string stable_section(const std::string& json) {
   EXPECT_NE(a, std::string::npos);
   EXPECT_NE(b, std::string::npos);
   return json.substr(a, b - a);
+}
+
+/// Export of a FLASH-fbs run with the ledger on. Materialized, the
+/// ledger condenses every file at export time. Streamed, the spill is
+/// drained through the windowed analyzer whose retirement hook
+/// condenses each file as it leaves the window — the CLI's
+/// `report --stream` wiring. `freed_mid_stream` counts the rank cells
+/// that retirement freed before the final sweep.
+std::string flash_ledger_json(bool windowed,
+                              std::size_t* freed_mid_stream = nullptr) {
+  obs::Run run(obs::Config{.metrics = true, .ledger = true});
+  const auto* info = apps::find_app("FLASH-fbs");
+  EXPECT_NE(info, nullptr);
+  apps::AppConfig cfg;
+  cfg.nranks = 16;
+  cfg.ranks_per_node = 4;
+  cfg.obs = &run;
+  if (!windowed) {
+    (void)apps::run_app(*info, cfg);
+  } else {
+    trace::SpillStore store;
+    trace::StreamMeta meta;
+    cfg.stream_chunk_records = 64;
+    {
+      trace::ChunkWriter writer(store, cfg.nranks);
+      meta = apps::run_app_stream(*info, writer, cfg);
+      writer.finish(meta);
+    }
+    const std::size_t captured = run.ledger.live_rank_cells();
+    EXPECT_GT(captured, 0u) << "the capture filled no rank cells";
+    bool draining = false;
+    std::size_t freed = 0, retired_mid_stream = 0;
+    core::WindowAnalysisOptions wopts;
+    wopts.on_retire = [&](FileId f, std::size_t, SimTime) {
+      const std::size_t before = run.ledger.live_rank_cells();
+      run.ledger.condense(f);
+      const std::size_t after = run.ledger.live_rank_cells();
+      EXPECT_LE(after, before);
+      if (!draining) {
+        freed += before - after;
+        ++retired_mid_stream;
+      }
+    };
+    core::StreamAnalyzer analyzer(meta.nranks, meta.paths,
+                                  meta.rank_posix_counts, meta.file_op_counts);
+    analyzer.enable_window(std::move(wopts), meta.file_posix_counts);
+    const auto in = store.open_read();
+    trace::ChunkReader reader(*in);
+    trace::Record rec;
+    while (reader.next(rec)) analyzer.feed(rec);
+    (void)reader.read_trailer();
+    draining = true;
+    (void)analyzer.finish_windowed();
+    EXPECT_GT(retired_mid_stream, 0u) << "no file left the window mid-stream";
+    EXPECT_EQ(run.ledger.live_rank_cells(), 0u)
+        << "every file retired, so no rank cell may outlive the drain";
+    if (freed_mid_stream != nullptr) *freed_mid_stream = freed;
+  }
+  std::ostringstream os;
+  obs::write_obs_json(os, run, {{"fixture", "window"}});
+  return os.str();
+}
+
+TEST(Ledger, WindowRetirementCondensesMidStreamAndMatchesExportTime) {
+  std::size_t freed = 0;
+  const std::string windowed = flash_ledger_json(true, &freed);
+  EXPECT_GT(freed, 0u)
+      << "window retirement must free ledger rank cells before the drain ends";
+  const std::string materialized = flash_ledger_json(false);
+  EXPECT_NE(materialized.find("\"ledger\": [\n"), std::string::npos);
+  EXPECT_EQ(stable_section(windowed), stable_section(materialized));
 }
 
 TEST(ObsExport, StableSectionIdenticalAcrossThreadsAndCapture) {

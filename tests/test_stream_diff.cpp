@@ -316,6 +316,37 @@ TEST(StreamDiff, SpillStoreSpillsAndRoundTrips) {
   EXPECT_THROW(store.append("more"), Error);
 }
 
+TEST(StreamDiff, SpillStoreReadsAcrossSegmentsAndTheFileSwitch) {
+  // Copied appends and adopted buffers interleave; a read that spans
+  // segment boundaries sees one contiguous byte stream, before and after
+  // the store switches to its file, and every open_read() starts over.
+  for (const std::size_t ceiling : {std::size_t{1} << 20, std::size_t{40}}) {
+    trace::SpillStore store(ceiling);
+    std::string expected;
+    for (int i = 0; i < 12; ++i) {
+      std::string piece(static_cast<std::size_t>(3 + i), 'a' + i);
+      expected += piece;
+      if (i % 3 == 0) {
+        store.append(piece);
+      } else {
+        store.adopt(std::move(piece));
+        EXPECT_TRUE(piece.empty());
+      }
+    }
+    EXPECT_EQ(store.bytes(), expected.size());
+    EXPECT_EQ(store.spilled(), ceiling < expected.size());
+    EXPECT_LE(store.peak_memory(), ceiling);
+    for (int pass = 0; pass < 2; ++pass) {
+      const auto in = store.open_read();
+      std::string head(20, '\0');  // crosses several segment boundaries
+      in->read(head.data(), static_cast<std::streamsize>(head.size()));
+      ASSERT_TRUE(*in);
+      const std::string rest(std::istreambuf_iterator<char>(*in), {});
+      EXPECT_EQ(head + rest, expected) << "ceiling " << ceiling;
+    }
+  }
+}
+
 TEST(StreamDiff, UnspilledStoreIsRereadable) {
   trace::SpillStore store(1u << 10);
   store.append("abc");
