@@ -24,7 +24,6 @@ namespace pfsem::trace {
 namespace {
 
 constexpr char kMagic2[8] = {'P', 'F', 'S', 'E', 'M', 'T', 'R', '2'};
-constexpr std::size_t kCommPiece = std::size_t{64} << 10;
 
 using detail::get_string;
 using detail::get_varint;
@@ -76,10 +75,10 @@ void write_comm(const CommLog& comm, std::string& out) {
   encode_comm(comm, out, [] {});
 }
 
-void write_comm(const CommLog& comm, std::string& out, std::size_t piece,
+void write_comm(const CommLog& comm, std::string& out,
                 const std::function<void(std::string&)>& flush) {
   encode_comm(comm, out, [&] {
-    if (out.size() >= piece) flush(out);
+    if (out.size() >= kCommPiece) flush(out);
   });
 }
 
@@ -193,14 +192,9 @@ void write_compact_streamed(int nranks, const PathTable& paths,
   require(emitted == record_count,
           "record scan count mismatch in compact trace write");
 
-  // The comm log goes out in bounded pieces: it can dwarf the records.
-  std::string piece;
-  const auto flush = [&os](std::string& bytes) {
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    bytes.clear();
-  };
-  detail::write_comm(comm, piece, kCommPiece, flush);
-  flush(piece);
+  std::string comm_bytes;
+  detail::write_comm(comm, comm_bytes);
+  os.write(comm_bytes.data(), static_cast<std::streamsize>(comm_bytes.size()));
   require(static_cast<bool>(os), "compact trace write failure");
 }
 

@@ -6,6 +6,7 @@
 // be written by a run and re-analyzed later, mirroring Recorder's
 // trace-directory workflow. The text form is for human inspection.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -80,12 +81,14 @@ namespace detail {
 /// spill trailer (spill.cpp) — one definition, formats cannot drift.
 /// The writer appends to a byte buffer (millions of varints at scale).
 void write_comm(const CommLog& comm, std::string& out);
+/// Piece size of the piecewise write_comm below.
+inline constexpr std::size_t kCommPiece = std::size_t{1} << 20;
 /// The same bytes written piecewise: whenever `out` holds at least
-/// `piece` bytes (checked after each p2p event, collective header and
+/// kCommPiece bytes (checked after each p2p event, collective header and
 /// arrival) it is handed to `flush`, which takes the bytes and leaves
 /// `out` empty. The unflushed tail stays in `out`. A log of any size
-/// never needs more than about `piece` bytes of buffer.
-void write_comm(const CommLog& comm, std::string& out, std::size_t piece,
+/// never needs more than about kCommPiece bytes of buffer.
+void write_comm(const CommLog& comm, std::string& out,
                 const std::function<void(std::string&)>& flush);
 [[nodiscard]] CommLog read_comm(std::istream& is, int nranks);
 /// Decode a comm log field by field, with read_comm's checks, appending

@@ -25,11 +25,11 @@
 // The comm log is the trailer's bulk (FLASH-fbs @2048: 7 MB of 20 MB)
 // and the capture already holds it as StreamMeta::comm, so neither side
 // makes a second whole copy of it. ChunkWriter::finish writes the
-// trailer in bounded pieces (kTrailerPiece) straight into the store,
-// byte-identical to detail::write_comm, and ChunkReader::read_trailer
-// validates the comm section field by field — the same checks as
-// detail::read_comm, plus p2p and arrival ranks — without building a
-// CommLog unless the caller asks for one.
+// trailer in bounded pieces (detail::kCommPiece) straight into the
+// store, byte-identical to detail::write_comm, and
+// ChunkReader::read_trailer validates the comm section field by field —
+// the same checks as detail::read_comm, plus p2p and arrival ranks —
+// without building a CommLog.
 
 #include <cstddef>
 #include <cstdint>
@@ -48,10 +48,9 @@ namespace pfsem::trace {
 /// Append-only byte store with a memory ceiling: bytes live in memory
 /// as a list of segments until the ceiling is crossed, then the segments
 /// (and everything after them) spill to a private temp file that is
-/// removed on destruction. A segment is either an adopted buffer (a
-/// whole chunk or trailer piece, taken without a copy) or a copy of a
-/// small append, so growth never re-copies what is already stored. This
-/// is the only place the streaming pipeline's memory can grow with run
+/// removed on destruction. Each append is copied into an exact-size
+/// segment, so growth never re-copies what is already stored. This is
+/// the only place the streaming pipeline's memory can grow with run
 /// length, and it is capped here.
 class SpillStore {
  public:
@@ -62,10 +61,7 @@ class SpillStore {
   SpillStore(const SpillStore&) = delete;
   SpillStore& operator=(const SpillStore&) = delete;
 
-  /// Append a copy of `bytes`.
   void append(std::string_view bytes);
-  /// Append `bytes`, taking over its buffer; `bytes` is left empty.
-  void adopt(std::string&& bytes);
 
   /// Total bytes appended so far.
   [[nodiscard]] std::size_t bytes() const { return total_; }
@@ -80,12 +76,6 @@ class SpillStore {
   [[nodiscard]] std::unique_ptr<std::istream> open_read();
 
  private:
-  /// Move the in-memory segments to a fresh temp file if `incoming` more
-  /// bytes would cross the ceiling; true once the store is file-backed.
-  bool spill_for(std::size_t incoming);
-  void write_file(std::string_view bytes);
-  void note_mem(std::size_t added);
-
   std::size_t ceiling_;
   std::vector<std::string> segs_;
   std::size_t mem_ = 0;  ///< bytes held in segs_
@@ -98,13 +88,9 @@ class SpillStore {
 
 /// StreamSink that frames collector batches into PFSEMCK1 chunks on a
 /// SpillStore. One collector batch == one chunk, so the chunk size is
-/// whatever chunk_records the collector was configured with; each chunk's
-/// buffer is handed to the store as a segment.
+/// whatever chunk_records the collector was configured with.
 class ChunkWriter final : public StreamSink {
  public:
-  /// The trailer goes to the store in pieces of about this many bytes.
-  static constexpr std::size_t kTrailerPiece = std::size_t{1} << 20;
-
   ChunkWriter(SpillStore& store, int nranks);
 
   void on_records(std::uint64_t base_seq,
@@ -117,9 +103,6 @@ class ChunkWriter final : public StreamSink {
  private:
   SpillStore& store_;
   std::string buf_;
-  /// Capacity to reserve for the next chunk: the last one's size plus
-  /// an eighth, so a chunk buffer is allocated once, not grown.
-  std::size_t chunk_hint_ = 0;
   std::vector<SimTime> last_t_;
   std::uint64_t expected_seq_ = 0;
   bool finished_ = false;
@@ -133,7 +116,6 @@ class ChunkReader {
   struct Trailer {
     std::uint64_t records = 0;
     PathTable paths;
-    CommLog comm;  ///< empty unless read_trailer(true)
   };
 
   explicit ChunkReader(std::istream& is);
@@ -146,10 +128,9 @@ class ChunkReader {
   bool next(Record& out);
 
   /// Read and validate the trailer. Only valid after next() returned
-  /// false. The comm section is always validated; it is decoded into
-  /// Trailer::comm only when `with_comm` is set (the capture that wrote
-  /// the stream already holds the log).
-  [[nodiscard]] Trailer read_trailer(bool with_comm = false);
+  /// false. The comm section is validated but not kept: the capture that
+  /// wrote the stream already holds the log.
+  [[nodiscard]] Trailer read_trailer();
 
  private:
   std::istream& is_;

@@ -77,55 +77,27 @@ SpillStore::~SpillStore() {
   }
 }
 
-bool SpillStore::spill_for(std::size_t incoming) {
+void SpillStore::append(std::string_view bytes) {
   require(!reading_, "SpillStore::append after open_read");
-  if (path_.empty() && mem_ + incoming > ceiling_) {
+  if (path_.empty() && mem_ + bytes.size() > ceiling_) {
     path_ = fresh_spill_path();
     file_.open(path_, std::ios::binary | std::ios::trunc);
     require(static_cast<bool>(file_), "cannot open spill file " + path_);
-    for (const auto& seg : segs_) write_file(seg);
+    for (const auto& seg : segs_) {
+      file_.write(seg.data(), static_cast<std::streamsize>(seg.size()));
+    }
     std::vector<std::string>().swap(segs_);
     mem_ = 0;
   }
-  return !path_.empty();
-}
-
-void SpillStore::write_file(std::string_view bytes) {
-  file_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  require(static_cast<bool>(file_), "spill file write failure");
-}
-
-void SpillStore::append(std::string_view bytes) {
-  if (spill_for(bytes.size())) {
-    write_file(bytes);
+  if (path_.empty()) {
+    segs_.emplace_back(bytes);
+    mem_ += bytes.size();
+    peak_mem_ = std::max(peak_mem_, mem_);
   } else {
-    if (!segs_.empty() &&
-        segs_.back().capacity() - segs_.back().size() >= bytes.size()) {
-      segs_.back().append(bytes);  // fits the tail's spare room: no realloc
-    } else {
-      segs_.emplace_back(bytes);
-    }
-    note_mem(bytes.size());
+    file_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    require(static_cast<bool>(file_), "spill file write failure");
   }
   total_ += bytes.size();
-}
-
-void SpillStore::adopt(std::string&& bytes) {
-  const std::size_t n = bytes.size();
-  if (spill_for(n)) {
-    write_file(bytes);
-    std::string().swap(bytes);
-  } else {
-    segs_.push_back(std::move(bytes));
-    bytes.clear();  // moved-from: valid but unspecified
-    note_mem(n);
-  }
-  total_ += n;
-}
-
-void SpillStore::note_mem(std::size_t added) {
-  mem_ += added;
-  peak_mem_ = std::max(peak_mem_, mem_);
 }
 
 std::unique_ptr<std::istream> SpillStore::open_read() {
@@ -155,7 +127,6 @@ void ChunkWriter::on_records(std::uint64_t base_seq,
   require(base_seq == expected_seq_, "ChunkWriter fed out of order");
   if (records.empty()) return;
   buf_.clear();
-  buf_.reserve(chunk_hint_);
   buf_.push_back(kChunkMarker);
   put_varint(buf_, base_seq);
   put_varint(buf_, records.size());
@@ -177,11 +148,7 @@ void ChunkWriter::on_records(std::uint64_t base_seq,
                          ? 0
                          : static_cast<std::uint64_t>(r.file) + 1);
   }
-  // A chunk that outgrew the hint doubled its buffer; trim it, so no
-  // adopted chunk holds more than a quarter of its size in slack.
-  if (buf_.capacity() - buf_.size() > buf_.size() / 4) buf_.shrink_to_fit();
-  chunk_hint_ = buf_.size() + buf_.size() / 8;
-  store_.adopt(std::move(buf_));
+  store_.append(buf_);
   expected_seq_ += records.size();
 }
 
@@ -190,25 +157,23 @@ void ChunkWriter::finish(const StreamMeta& meta) {
   require(meta.records == expected_seq_,
           "stream meta record count does not match the chunks written");
   finished_ = true;
-  // Full pieces go to the store as they fill; the tail is copied into an
-  // exact-size segment, so no piece keeps more than an eighth of slack.
-  constexpr std::size_t kPieceCapacity = kTrailerPiece + kTrailerPiece / 8;
+  // Each piece goes to the store as it fills, so the trailer is never
+  // held whole.
   const auto flush = [this](std::string& piece) {
-    store_.adopt(std::move(piece));
-    piece.reserve(kPieceCapacity);
+    store_.append(piece);
+    piece.clear();
   };
   buf_.clear();
-  buf_.reserve(kPieceCapacity);
   buf_.push_back(kTrailerMarker);
   put_varint(buf_, meta.records);
   put_varint(buf_, meta.paths.size());
   for (std::size_t i = 0; i < meta.paths.size(); ++i) {
     detail::put_string(buf_, meta.paths.view(static_cast<FileId>(i)));
-    if (buf_.size() >= kTrailerPiece) flush(buf_);
+    if (buf_.size() >= detail::kCommPiece) flush(buf_);
   }
-  detail::write_comm(meta.comm, buf_, kTrailerPiece, flush);
+  detail::write_comm(meta.comm, buf_, flush);
   store_.append(buf_);
-  std::string().swap(buf_);
+  std::string().swap(buf_);  // the trailer can dwarf a chunk
 }
 
 ChunkReader::ChunkReader(std::istream& is) : is_(is) {
@@ -268,7 +233,7 @@ bool ChunkReader::next(Record& out) {
   return true;
 }
 
-ChunkReader::Trailer ChunkReader::read_trailer(bool with_comm) {
+ChunkReader::Trailer ChunkReader::read_trailer() {
   require(at_trailer_, "trailer read before the record stream was drained");
   Trailer t;
   t.records = get_varint(is_);
@@ -282,7 +247,7 @@ ChunkReader::Trailer ChunkReader::read_trailer(bool with_comm) {
   }
   require(!any_file_seen_ || max_file_seen_ < t.paths.size(),
           "bad path id in chunk stream");
-  detail::scan_comm(is_, nranks_, with_comm ? &t.comm : nullptr);
+  detail::scan_comm(is_, nranks_, nullptr);
   return t;
 }
 

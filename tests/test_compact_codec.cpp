@@ -361,17 +361,16 @@ std::string chunk_fixture() {
   return s;
 }
 
-/// Drain a chunk stream back into a TraceBundle (records + trailer,
-/// comm log included).
+/// Drain a chunk stream back into a TraceBundle (records + trailer
+/// paths; the trailer's comm section is validated, not kept).
 TraceBundle decode_chunks(std::istream& is) {
   ChunkReader reader(is);
   TraceBundle b;
   b.nranks = reader.nranks();
   Record rec;
   while (reader.next(rec)) b.records.push_back(rec);
-  auto trailer = reader.read_trailer(/*with_comm=*/true);
+  auto trailer = reader.read_trailer();
   b.paths = std::move(trailer.paths);
-  b.comm = std::move(trailer.comm);
   return b;
 }
 
@@ -568,7 +567,7 @@ TEST(ChunkStream, PiecewiseTrailerMatchesWriteCommInMemoryAndSpilled) {
   constexpr int kRanks = 40000;
   const CommLog comm = synthetic_comm(kRanks, 12, 6000);
   const std::string expected = one_chunk(fixture_with_comm(comm, kRanks));
-  ASSERT_GT(expected.size(), 3 * ChunkWriter::kTrailerPiece);
+  ASSERT_GT(expected.size(), 3 * detail::kCommPiece);
 
   SpillStore in_memory;
   write_with_comm(in_memory, comm, kRanks);
@@ -583,32 +582,16 @@ TEST(ChunkStream, PiecewiseTrailerMatchesWriteCommInMemoryAndSpilled) {
   ASSERT_TRUE(spilled.spilled());
   ASSERT_EQ(store_bytes(spilled), expected);
 
+  // The reader walks both stores' trailers, and the comm suffix decodes
+  // back to the log.
   for (SpillStore* store : {&in_memory, &spilled}) {
     const auto in = store->open_read();
-    const TraceBundle b = decode_chunks(*in);
-    EXPECT_EQ(b.records.size(), 6u);
-    expect_same_comm(b.comm, comm);
+    EXPECT_EQ(decode_chunks(*in).records.size(), 6u);
   }
-  // And the walk that materializes nothing accepts the same bytes.
-  const auto in = in_memory.open_read();
-  ChunkReader reader(*in);
-  Record rec;
-  while (reader.next(rec)) {
-  }
-  const auto trailer = reader.read_trailer();
-  EXPECT_EQ(trailer.records, 6u);
-  EXPECT_TRUE(trailer.comm.p2p.empty());
-  EXPECT_TRUE(trailer.comm.collectives.empty());
-}
-
-/// Drain a chunk stream and read its trailer without the comm log.
-void walk_chunks(const std::string& bytes) {
-  std::istringstream is(bytes);
-  ChunkReader reader(is);
-  Record rec;
-  while (reader.next(rec)) {
-  }
-  (void)reader.read_trailer();
+  std::string comm_bytes;
+  detail::write_comm(comm, comm_bytes);
+  std::istringstream suffix(expected.substr(expected.size() - comm_bytes.size()));
+  expect_same_comm(detail::read_comm(suffix, kRanks), comm);
 }
 
 TEST(ChunkStream, EveryTruncationInsideCommSectionThrows) {
@@ -617,20 +600,18 @@ TEST(ChunkStream, EveryTruncationInsideCommSectionThrows) {
   std::string comm_bytes;
   detail::write_comm(comm, comm_bytes);
   ASSERT_EQ(full.substr(full.size() - comm_bytes.size()), comm_bytes);
-  EXPECT_NO_THROW(walk_chunks(full));
-  expect_same_comm(decode_chunks(full).comm, comm);
+  EXPECT_NO_THROW((void)decode_chunks(full));
   for (std::size_t len = full.size() - comm_bytes.size(); len < full.size();
        ++len) {
-    const std::string cut = full.substr(0, len);
-    EXPECT_THROW(walk_chunks(cut), Error) << "prefix length " << len;
-    EXPECT_THROW((void)decode_chunks(cut), Error) << "prefix length " << len;
+    EXPECT_THROW((void)decode_chunks(full.substr(0, len)), Error)
+        << "prefix length " << len;
   }
 }
 
 /// The error read_trailer() raises on `bytes`, or "" if it accepts them.
 std::string walk_error(const std::string& bytes) {
   try {
-    walk_chunks(bytes);
+    (void)decode_chunks(bytes);
   } catch (const Error& e) {
     return e.what();
   }
@@ -667,7 +648,6 @@ TEST(ChunkStream, BadArrivalCountOrRankRejectedWithoutMaterializing) {
   EXPECT_NE(walk_error(bad_count).find("bad arrival count"),
             std::string::npos)
       << walk_error(bad_count);
-  EXPECT_THROW((void)decode_chunks(bad_count), Error);
 
   const std::string bad_rank =
       with_log([&](std::string& s) { collective(s, 1, 5); });
@@ -694,8 +674,7 @@ TEST(ChunkStream, SegmentedStoreDecodesAtEverySplit) {
   for (std::size_t cut = 1; cut < full.size(); ++cut) {
     SpillStore store;
     store.append(full.substr(0, cut));
-    std::string rest = full.substr(cut);
-    store.adopt(std::move(rest));
+    store.append(full.substr(cut));
     for (int pass = 0; pass < 2; ++pass) {  // re-readable
       const auto in = store.open_read();
       ASSERT_EQ(analysis_fingerprint(decode_chunks(*in)), oracle)

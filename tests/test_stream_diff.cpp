@@ -317,21 +317,16 @@ TEST(StreamDiff, SpillStoreSpillsAndRoundTrips) {
 }
 
 TEST(StreamDiff, SpillStoreReadsAcrossSegmentsAndTheFileSwitch) {
-  // Copied appends and adopted buffers interleave; a read that spans
-  // segment boundaries sees one contiguous byte stream, before and after
-  // the store switches to its file, and every open_read() starts over.
+  // Each append is a segment; a read that spans segment boundaries sees
+  // one contiguous byte stream, before and after the store switches to
+  // its file, and every open_read() starts over.
   for (const std::size_t ceiling : {std::size_t{1} << 20, std::size_t{40}}) {
     trace::SpillStore store(ceiling);
     std::string expected;
     for (int i = 0; i < 12; ++i) {
-      std::string piece(static_cast<std::size_t>(3 + i), 'a' + i);
+      const std::string piece(static_cast<std::size_t>(3 + i), 'a' + i);
       expected += piece;
-      if (i % 3 == 0) {
-        store.append(piece);
-      } else {
-        store.adopt(std::move(piece));
-        EXPECT_TRUE(piece.empty());
-      }
+      store.append(piece);
     }
     EXPECT_EQ(store.bytes(), expected.size());
     EXPECT_EQ(store.spilled(), ceiling < expected.size());
